@@ -19,7 +19,7 @@ The package is organized as:
   CSV persistence, and the command-line front end.
 """
 
-from .core import BitString, IndexSet, RngStream, flip_set, precedes, rng_draw
+from .core import BitString, IndexSet, RngStream
 from .families import (
     FlippedDnfInstance,
     Clause,
@@ -31,7 +31,6 @@ from .families import (
     Term,
     UnateInstance,
     instance_from_json,
-    truth_table,
 )
 
 __version__ = "0.1.0"
@@ -40,9 +39,6 @@ __all__ = [
     "BitString",
     "IndexSet",
     "RngStream",
-    "flip_set",
-    "precedes",
-    "rng_draw",
     "Term",
     "Clause",
     "Dictator",
@@ -53,6 +49,5 @@ __all__ = [
     "UnateInstance",
     "QuadrantInstance",
     "instance_from_json",
-    "truth_table",
     "__version__",
 ]

@@ -82,22 +82,16 @@ def _cmd_sample(args, parser) -> int:
 
 def _signature_record(inst, x: BitString) -> dict:
     if isinstance(inst, MonoInstance):
-        wc = inst.weight_class(x)
         sig = mono_full_signature(inst, x)
-        rec = sig.to_json()
-        rec["value_from_signature"] = value_from_mono_signature(wc, sig)
-        return rec
-    if isinstance(inst, OneLevelInstance):
-        sig = onelevel_signature(inst, x)
-        rec = sig.to_json()
-        rec["value_from_signature"] = value_from_unate_signature("middle", sig)
-        return rec
-    if isinstance(inst, UnateInstance):
+        value = value_from_mono_signature("middle", sig)
+    elif isinstance(inst, UnateInstance):  # both single-level families
         sig = unate_signature(inst, x)
-        rec = sig.to_json()
-        rec["value_from_signature"] = value_from_unate_signature("middle", sig)
-        return rec
-    raise OutOfBandError(f"{type(inst).__name__} has no signature oracle")
+        value = value_from_unate_signature("middle", sig)
+    else:
+        raise OutOfBandError(f"{type(inst).__name__} has no signature oracle")
+    rec = sig.to_json()
+    rec["value_from_signature"] = value
+    return rec
 
 
 def _cmd_eval(args, parser) -> int:
@@ -113,7 +107,6 @@ def _cmd_eval(args, parser) -> int:
     if args.transcript_out:
         from .transcripts import (
             MonoTranscript,
-            OneLevelSignatureOracle,
             SingleLevelTranscript,
             UnateSignatureOracle,
         )

@@ -28,9 +28,6 @@ __all__ = [
     "IndexSet",
     "RngStream",
     "derive_generator",
-    "flip_set",
-    "precedes",
-    "rng_draw",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -273,16 +270,6 @@ class IndexSet:
         return cls(int(obj["n"]), [int(i) - 1 for i in obj["members"]])
 
 
-def flip_set(x: BitString, s: IndexSet | Iterable[int]) -> BitString:
-    """Functional form of :meth:`BitString.flip`."""
-    return x.flip(s)
-
-
-def precedes(x: BitString, y: BitString) -> bool:
-    """Functional form of :meth:`BitString.precedes`."""
-    return x.precedes(y)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic randomness
 # ---------------------------------------------------------------------------
@@ -401,8 +388,3 @@ class RngStream:
             f"RngStream(seed={self.master_seed}, tag={self.domain_tag!r}, "
             f"counters={self.counters}, calls={self._calls})"
         )
-
-
-def rng_draw(stream: RngStream, upper: int) -> int:
-    """Functional form of :meth:`RngStream.draw`."""
-    return stream.draw(upper)

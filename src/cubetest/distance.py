@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import BitString, ResourceLimitError, RngStream
-from .families import MonoInstance, UnateInstance, _points_matrix
+from .families import MonoInstance, UnateInstance, _first_two, _points_matrix
 
 __all__ = [
     "FarnessEstimate",
@@ -216,10 +216,10 @@ def witness_edge_at(
 
     Membership requires: middle layers; the multiplexer routes to a cell;
     the function value is 1 (so the cell's anti-dictator variable ``k``
-    has ``x_k = 0``); ``k`` avoids the cell's clause; and no other term is
-    satisfied once ``k`` is flipped to 1.  The returned pair
-    ``(x, x^(k))`` then re-verifies as a violating edge, and distinct
-    members yield disjoint edges.
+    has ``x_k = 0``); ``k`` avoids the cell's clause; ``x^(k)`` stays in
+    the middle layers; and no other term is satisfied once ``k`` is
+    flipped to 1.  The returned pair ``(x, x^(k))`` then re-verifies as a
+    violating edge, and distinct members yield disjoint edges.
     """
     if inst.world != "no":
         raise ValueError("the witness set is defined for no-world instances")
@@ -228,13 +228,23 @@ def witness_edge_at(
     r = inst.route(x)
     if r.kind != "cell":
         return None
-    k = int(inst.dict_row(r.i)[r.j])
+    return _cell_witness(inst, x, r.i, r.j)
+
+
+def _cell_witness(
+    inst: MonoInstance, x: BitString, i: int, j: int
+) -> Optional[tuple[BitString, BitString]]:
+    """The witness edge of a middle-layer ``x`` that routes to cell (i, j)."""
+    k = int(inst.dict_row(i)[j])
     if x[k] != 0:  # anti-dictator reads 0 here, so f(x) = 0
         return None
-    if k in inst.clause_block(r.i)[r.j]:
+    if k in inst.clause_block(i)[j]:
         return None
     xstar = x.flip_one(k)
-    if inst.satisfied_terms(xstar, limit=2) != [r.i]:
+    # at the top weight of the band x^(k) leaves it and reads 1
+    if inst.weight_class(xstar) != "middle":
+        return None
+    if inst.satisfied_terms(xstar, limit=2) != [i]:
         return None
     return (x, xstar)
 
@@ -249,44 +259,16 @@ def middle_layer_indices(n: int, band_low: float, band_high: float) -> np.ndarra
 
 def _witness_scan(inst: MonoInstance) -> tuple[int, list[tuple[BitString, BitString]]]:
     """Vectorized exhaustive scan of the witness set over the middle layers."""
-    n = inst.n
-    X = _points_matrix(n)
-    mid = middle_layer_indices(n, inst.band_low, inst.band_high)
-    sub = X[mid]
-
-    count = np.zeros(len(mid), dtype=np.uint8)
-    first = np.full(len(mid), -1, dtype=np.int32)
-    for i in range(inst.N):
-        sat = sub[:, inst._terms[i]].all(axis=1)
-        newly = sat & (count == 0)
-        first[newly] = i
-        count[sat & (count < 2)] += 1
-    unique = count == 1
-
+    mid = middle_layer_indices(inst.n, inst.band_low, inst.band_high)
+    sub = _points_matrix(inst.n)[mid]
+    count, first = _first_two(sub, inst._terms)
     members: list[tuple[BitString, BitString]] = []
-    for i in np.unique(first[unique]):
-        rows = np.flatnonzero(unique & (first == i))
-        blk = inst.clause_block(int(i))
-        satc = sub[rows][:, blk.reshape(-1)].reshape(len(rows), inst.N, inst.m)
-        fals = ~satc.any(axis=2)
-        fcount = fals.sum(axis=1)
-        pick = np.flatnonzero(fcount == 1)
-        if not len(pick):
-            continue
-        js = fals[pick].argmax(axis=1)
-        dict_row = inst.dict_row(int(i))
-        for row, j in zip(pick, js):
-            gidx = int(mid[rows[row]])
-            k = int(dict_row[j])
-            x = BitString(n, gidx)
-            if x[k] != 0:
-                continue
-            if k in blk[j]:
-                continue
-            xstar = x.flip_one(k)
-            if inst.satisfied_terms(xstar, limit=2) != [int(i)]:
-                continue
-            members.append((x, xstar))
+    for i, rows, fcount, js in inst._unique_term_cells(sub, first, count == 1):
+        pick = fcount == 1
+        for row, j in zip(rows[pick], js[pick]):
+            edge = _cell_witness(inst, BitString(inst.n, int(mid[row])), i, int(j))
+            if edge is not None:
+                members.append(edge)
     return len(mid), members
 
 
@@ -379,33 +361,18 @@ def unate_no_family_stats(
     function (orientation leaves the distance to unate unchanged)."""
     mbar = sorted(int(k) for k in inst.Mbar_sorted)
     if exhaustive:
-        if inst.n > 20:
-            raise ResourceLimitError("exhaustive scan capped at n=20")
-        X = _points_matrix(inst.n)
-        wM = X[:, inst.M_sorted].sum(axis=1)
-        mid = (wM >= inst.band_low) & (wM <= inst.band_high)
-        count = np.zeros(len(X), dtype=np.uint8)
-        first = np.full(len(X), -1, dtype=np.int32)
-        for i in range(inst.N):
-            mem = np.flatnonzero(inst._masks[i])
-            sat = X[:, mem].all(axis=1) if len(mem) else np.ones(len(X), bool)
-            newly = sat & (count == 0)
-            first[newly] = i
-            count[sat & (count < 2)] += 1
-        rows = np.flatnonzero(mid & (count == 1))
-        terms = first[rows]
+        table, rows, terms = inst._base_scan()
+        X = _points_matrix(inst.n)[rows]
         ks = inst._dict_vars[terms]
-        vals = X[rows, ks].astype(np.uint8)
-        neg = inst._dict_negated[terms]
-        fvals = np.where(neg, 1 - vals, vals)
+        zero = table[rows] == 0
         size = 1 << inst.n
         plus = {}
         minus = {}
         total_min = 0.0
         for k in mbar:
-            sel = (ks == k) & (fvals == 0)
-            p = int((sel & (X[rows, k] == 0)).sum())
-            m = int((sel & (X[rows, k] == 1)).sum())
+            sel = (ks == k) & zero
+            p = int((sel & ~X[:, k]).sum())
+            m = int((sel & X[:, k]).sum())
             plus[k] = FarnessEstimate.exact(p / size)
             minus[k] = FarnessEstimate.exact(m / size)
             total_min += min(p, m) / size

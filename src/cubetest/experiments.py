@@ -49,7 +49,6 @@ from .likelihood import (
 from .sigoracle import (
     OutOfBandError,
     mono_full_signature,
-    onelevel_signature,
     unate_signature,
     value_from_mono_signature,
     value_from_unate_signature,
@@ -221,11 +220,7 @@ def _signature_soundness_task(args) -> list[ResultRow]:
             if inst.weight_class(x) != "middle":
                 continue
             got = value_from_mono_signature("middle", mono_full_signature(inst, x))
-        elif family == "onelevel":
-            if inst.weight_class(x) != "middle":
-                continue
-            got = value_from_unate_signature("middle", onelevel_signature(inst, x))
-        else:
+        else:  # onelevel or unate: the single-level core
             if inst.band_class_base(x.xor(inst.orientation)) != "middle":
                 continue
             got = value_from_unate_signature("middle", unate_signature(inst, x))

@@ -8,11 +8,15 @@ Five families are implemented, all reproducible from a 64-bit seed:
   outside the middle layers.
 * :class:`FlippedDnfInstance` -- a truncated random DNF of monotone terms; the
   no world evaluates it after flipping a sparse random coordinate set.
-* :class:`OneLevelInstance` -- the single-level multiplexer variant used
-  for non-adaptive monotonicity experiments.
-* :class:`UnateInstance` -- the unateness family: terms over a hidden
-  half ``M`` of the coordinates, per-term dictators on the complement, and
-  a random orientation XORed into every query.
+* :class:`UnateInstance` -- the single-level multiplexer core: subset terms
+  over a weight mask ``M``, one dictator per term with its own polarity,
+  truncation on the weight inside ``M`` around a band centre, and an
+  orientation XORed into every query.  As the unateness family it uses a
+  hidden half ``M``, band centre ``n/4``, a random orientation ``r || s``
+  and random polarities in the no world.
+* :class:`OneLevelInstance` -- the same core with ``M = [n]``, band centre
+  ``n/2``, zero orientation and one polarity for every term; used for
+  non-adaptive monotonicity experiments.
 * :class:`QuadrantInstance` -- the four-quadrant function on ``n+2`` coordinates
   used for one-sided non-adaptive unateness experiments.
 
@@ -55,7 +59,6 @@ __all__ = [
     "UnateInstance",
     "QuadrantInstance",
     "instance_from_json",
-    "truth_table",
 ]
 
 TABLE_CAP = 20  # largest dimension for explicit truth tables (2**20 entries)
@@ -88,6 +91,28 @@ def _require_table_cap(n: int) -> None:
         raise ResourceLimitError(
             f"truth table needs 2**{n} entries; cap is 2**{TABLE_CAP}"
         )
+
+
+def _band_class(w: float, lo: float, hi: float) -> str:
+    """Truncation class of weight ``w`` for the band ``[lo, hi]``."""
+    if w < lo:
+        return "low"
+    if w > hi:
+        return "high"
+    return "middle"
+
+
+def _first_two(X: np.ndarray, terms: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the point matrix ``X``: the number of ``terms`` (arrays of
+    variable indices) it satisfies, capped at 2, and the first one (-1 if
+    none).  An empty term is satisfied by every row."""
+    count = np.zeros(len(X), dtype=np.uint8)
+    first = np.full(len(X), -1, dtype=np.int32)
+    for i, members in enumerate(terms):
+        sat = X[:, members].all(axis=1)
+        first[sat & (count == 0)] = i
+        count[sat & (count < 2)] += 1
+    return count, first
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +359,7 @@ class MonoInstance:
     # -- evaluation ---------------------------------------------------------
 
     def weight_class(self, x: BitString) -> str:
-        w = x.weight
-        if w < self.band_low:
-            return "low"
-        if w > self.band_high:
-            return "high"
-        return "middle"
+        return _band_class(x.weight, self.band_low, self.band_high)
 
     def satisfied_terms(self, x: BitString, limit: int = 2) -> list[int]:
         """Indices of the first ``limit`` satisfied terms, ascending."""
@@ -404,38 +424,35 @@ class MonoInstance:
         """Vectorized full table; entry ``t`` is the value at bits ``t``."""
         _require_table_cap(self.n)
         X = _points_matrix(self.n)
-        size = 1 << self.n
         w = X.sum(axis=1)
-        table = np.zeros(size, dtype=np.uint8)
+        table = np.zeros(1 << self.n, dtype=np.uint8)
         table[w > self.band_high] = 1
         mid = (w >= self.band_low) & (w <= self.band_high)
-
-        count = np.zeros(size, dtype=np.uint8)
-        first = np.full(size, -1, dtype=np.int32)
-        for i in range(self.N):
-            sat = X[:, self._terms[i]].all(axis=1)
-            newly = sat & (count == 0)
-            first[newly] = i
-            count[sat & (count < 2)] += 1
+        count, first = _first_two(X, self._terms)
         table[mid & (count >= 2)] = 1
-
-        unique = mid & (count == 1)
-        for i in np.unique(first[unique]):
-            rows = np.flatnonzero(unique & (first == i))
-            blk = self.clause_block(int(i))
-            sub = X[rows]
-            satc = sub[:, blk.reshape(-1)].reshape(len(rows), self.N, self.m)
-            fals = ~satc.any(axis=2)
-            fcount = fals.sum(axis=1)
+        for i, rows, fcount, js in self._unique_term_cells(X, first, mid & (count == 1)):
             table[rows[fcount == 0]] = 1
             pick = fcount == 1
-            if pick.any():
-                js = fals[pick].argmax(axis=1)
-                rr = rows[pick]
-                ks = self.dict_row(int(i))[js]
-                vals = X[rr, ks].astype(np.uint8)
-                table[rr] = 1 - vals if self.negated else vals
+            rr = rows[pick]
+            vals = X[rr, self.dict_row(i)[js[pick]]].astype(np.uint8)
+            table[rr] = 1 - vals if self.negated else vals
         return table
+
+    def _unique_term_cells(self, X: np.ndarray, first: np.ndarray, unique: np.ndarray):
+        """Clause scan of the rows of ``X`` that satisfy exactly one term.
+
+        ``unique`` selects those rows and ``first`` holds their term.  Yields,
+        per term ``i``: the rows, how many clauses of row ``i`` each one
+        falsifies, and the first falsified clause (meaningful where that
+        count is positive).
+        """
+        for i in np.unique(first[unique]):
+            i = int(i)
+            rows = np.flatnonzero(unique & (first == i))
+            blk = self.clause_block(i)
+            satc = X[rows][:, blk.reshape(-1)].reshape(len(rows), self.N, self.m)
+            fals = ~satc.any(axis=2)
+            yield i, rows, fals.sum(axis=1), fals.argmax(axis=1)
 
     # -- serialization --------------------------------------------------------
 
@@ -565,11 +582,10 @@ class FlippedDnfInstance:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
         y = x.flip(self.flip_coords) if len(self.flip_coords) else x
         w = (y if self.truncate_after_flip else x).weight
-        if w > self.band_high:
-            return 1
-        if w < self.band_low:
-            return 0
-        return self.dnf_value(y)
+        wc = _band_class(w, self.band_low, self.band_high)
+        if wc == "middle":
+            return self.dnf_value(y)
+        return int(wc == "high")
 
     def truth_table(self) -> np.ndarray:
         _require_table_cap(self.n)
@@ -612,178 +628,35 @@ class FlippedDnfInstance:
 
 
 # ---------------------------------------------------------------------------
-# Single-level multiplexer family
+# Single-level multiplexer core and its two families
 # ---------------------------------------------------------------------------
 
 
-class OneLevelInstance:
-    """Single-level multiplexer: subset terms over all of [n], one dictator
-    per term, truncation on total weight."""
-
-    family = "onelevel"
-
-    def __init__(
-        self,
-        n: int,
-        world: str,
-        *,
-        term_masks: np.ndarray,
-        dict_vars: np.ndarray,
-        seed: int | None = None,
-    ):
-        self.n = n
-        self.world = _check_world(world)
-        self.seed = seed
-        self._masks = np.ascontiguousarray(term_masks, dtype=bool)
-        self._dict_vars = np.ascontiguousarray(dict_vars, dtype=np.int32)
-        self.N = self._masks.shape[0]
-        self.negated = world == "no"
-        sq = math.sqrt(n)
-        self.band_low = n / 2 - sq
-        self.band_high = n / 2 + sq
-        self.storage = "explicit"
-
-    @classmethod
-    def sample(cls, n: int, world: str, seed: int) -> "OneLevelInstance":
-        if n < 9:
-            raise ValueError(f"n must be at least 9, got {n}")
-        if not _is_square(n):
-            raise ValueError("n must be a perfect square")
-        N = 1 << math.isqrt(n)
-        masks = derive_generator(seed, "onelevel", "terms").random((N, n)) < 1.0 / math.sqrt(n)
-        dict_vars = derive_generator(seed, "onelevel", "dict").integers(
-            0, n, size=N, dtype=np.int32
-        )
-        return cls(n, world, term_masks=masks, dict_vars=dict_vars, seed=seed)
-
-    @classmethod
-    def from_parts(
-        cls,
-        n: int,
-        world: str,
-        terms: Sequence[Iterable[int]],
-        dict_vars: Sequence[int],
-    ) -> "OneLevelInstance":
-        masks = np.zeros((len(terms), n), dtype=bool)
-        for i, t in enumerate(terms):
-            for v in t:
-                masks[i, v] = True
-        return cls(
-            n, world, term_masks=masks, dict_vars=np.asarray(dict_vars), seed=None
-        )
-
-    def term(self, i: int) -> Term:
-        return Term(
-            self.n, tuple(int(v) for v in np.flatnonzero(self._masks[i])), "subset"
-        )
-
-    def dictator(self, i: int) -> Dictator:
-        return Dictator(int(self._dict_vars[i]), negated=self.negated)
-
-    def weight_class(self, x: BitString) -> str:
-        w = x.weight
-        if w < self.band_low:
-            return "low"
-        if w > self.band_high:
-            return "high"
-        return "middle"
-
-    def satisfied_terms(self, x: BitString, limit: int = 2) -> list[int]:
-        xb = x.to_array()
-        sat = ~(self._masks & ~xb).any(axis=1)
-        hits = np.flatnonzero(sat)[:limit]
-        return [int(i) for i in hits]
-
-    def route(self, x: BitString) -> Route:
-        sat = self.satisfied_terms(x, limit=2)
-        if not sat:
-            return Route.zero()
-        if len(sat) >= 2:
-            return Route.one()
-        return Route.term(sat[0])
-
-    def value(self, x: BitString) -> int:
-        if x.n != self.n:
-            raise ValueError(f"query has n={x.n}, instance has n={self.n}")
-        wc = self.weight_class(x)
-        if wc == "low":
-            return 0
-        if wc == "high":
-            return 1
-        r = self.route(x)
-        if r.kind == "zero":
-            return 0
-        if r.kind == "one":
-            return 1
-        v = x[int(self._dict_vars[r.i])]
-        return 1 - v if self.negated else v
-
-    def truth_table(self) -> np.ndarray:
-        _require_table_cap(self.n)
-        X = _points_matrix(self.n)
-        size = 1 << self.n
-        w = X.sum(axis=1)
-        table = np.zeros(size, dtype=np.uint8)
-        table[w > self.band_high] = 1
-        mid = (w >= self.band_low) & (w <= self.band_high)
-        count = np.zeros(size, dtype=np.uint8)
-        first = np.full(size, -1, dtype=np.int32)
-        for i in range(self.N):
-            members = np.flatnonzero(self._masks[i])
-            sat = X[:, members].all(axis=1) if len(members) else np.ones(size, bool)
-            newly = sat & (count == 0)
-            first[newly] = i
-            count[sat & (count < 2)] += 1
-        table[mid & (count >= 2)] = 1
-        unique = mid & (count == 1)
-        rows = np.flatnonzero(unique)
-        ks = self._dict_vars[first[rows]]
-        vals = X[rows, ks].astype(np.uint8)
-        table[rows] = 1 - vals if self.negated else vals
-        return table
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "N": self.N,
-            "world": self.world,
-            "seed": self.seed,
-            "storage": "explicit",
-            "terms": [
-                [int(v) + 1 for v in np.flatnonzero(self._masks[i])]
-                for i in range(self.N)
-            ],
-            "dictators": (self._dict_vars + 1).tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OneLevelInstance":
-        masks = np.zeros((obj["N"], obj["n"]), dtype=bool)
-        for i, t in enumerate(obj["terms"]):
-            for v in t:
-                masks[i, v - 1] = True
-        return cls(
-            obj["n"],
-            obj["world"],
-            term_masks=masks,
-            dict_vars=np.asarray(obj["dictators"], dtype=np.int32) - 1,
-            seed=obj.get("seed"),
-        )
+def _complement(n: int, members: np.ndarray) -> np.ndarray:
+    """The coordinates of ``[n]`` outside ``members``, ascending."""
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    return np.flatnonzero(~inside)
 
 
-# ---------------------------------------------------------------------------
-# Unateness family
-# ---------------------------------------------------------------------------
+def _term_masks(n: int, terms: Sequence[Iterable[int]]) -> np.ndarray:
+    masks = np.zeros((len(terms), n), dtype=bool)
+    for i, t in enumerate(terms):
+        for v in t:
+            masks[i, v] = True
+    return masks
 
 
 class UnateInstance:
-    """Oriented single-level family for unateness testing.
+    """Single-level multiplexer core, sampled as the unateness family.
 
-    A hidden half ``M`` of the coordinates carries the terms; each term has
-    a dictator on the complement; a random orientation ``r || s`` is XORed
-    into every query before evaluation, and truncation happens after the
-    XOR (on the weight restricted to ``M``).
+    The core has four parameters: the weight mask ``M`` that carries the
+    terms, the band centre of the weight inside ``M``, an orientation XORed
+    into every query before evaluation (so truncation happens after the
+    XOR), and a per-term dictator polarity.  The unateness family uses a
+    hidden half ``M``, band centre ``n/4``, dictators on the complement of
+    ``M``, a random orientation ``r || s`` and, in the no world, random
+    polarities.
     """
 
     family = "unate"
@@ -794,11 +667,11 @@ class UnateInstance:
         world: str,
         *,
         m_sorted: np.ndarray,
+        band_centre: float,
+        orientation: BitString,
         term_masks: np.ndarray,
         dict_vars: np.ndarray,
         dict_negated: np.ndarray,
-        r_bits: np.ndarray,
-        s_bits: np.ndarray,
         seed: int | None = None,
     ):
         self.n = n
@@ -807,43 +680,44 @@ class UnateInstance:
         self.storage = "explicit"
         self.M_sorted = np.ascontiguousarray(m_sorted, dtype=np.int32)
         self.M = frozenset(int(i) for i in m_sorted)
-        self.Mbar_sorted = np.asarray(
-            sorted(set(range(n)) - self.M), dtype=np.int32
-        )
+        self.Mbar_sorted = _complement(n, self.M_sorted).astype(np.int32)
         self._masks = np.ascontiguousarray(term_masks, dtype=bool)  # (N, n)
         self.N = self._masks.shape[0]
         self._dict_vars = np.ascontiguousarray(dict_vars, dtype=np.int32)
         self._dict_negated = np.ascontiguousarray(dict_negated, dtype=bool)
-        self.r_bits = np.ascontiguousarray(r_bits, dtype=np.uint8)  # over M_sorted
-        self.s_bits = np.ascontiguousarray(s_bits, dtype=np.uint8)  # over Mbar_sorted
+        self.orientation = orientation
         if self._masks[:, self.Mbar_sorted].any():
             raise ValueError("terms must be subsets of M")
-        if any(int(v) in self.M for v in self._dict_vars):
-            raise ValueError("dictator variables must lie outside M")
         if world == "yes" and self._dict_negated.any():
             raise ValueError("yes world must have all-positive dictators")
-        ori = 0
-        for pos, c in zip(self.M_sorted, self.r_bits):
-            ori |= int(c) << int(pos)
-        for pos, c in zip(self.Mbar_sorted, self.s_bits):
-            ori |= int(c) << int(pos)
-        self.orientation = BitString(n, ori)
-        # orientation restricted to the dictator half (used by signatures)
-        s_only = 0
-        for pos, c in zip(self.Mbar_sorted, self.s_bits):
-            s_only |= int(c) << int(pos)
-        self.s_orientation = BitString(n, s_only)
         sq = math.sqrt(n)
-        self.band_low = n / 4 - sq
-        self.band_high = n / 4 + sq
-        self._m_mask = 0
-        for pos in self.M_sorted:
-            self._m_mask |= 1 << int(pos)
+        self.band_low = band_centre - sq
+        self.band_high = band_centre + sq
+        self._m_mask = BitString.from_indices(n, self.M).bits
 
     @staticmethod
     def size_for(n: int) -> int:
         """Number of terms: ceil((1 + 1/sqrt(n)) ** (n/4))."""
         return math.ceil((1.0 + 1.0 / math.sqrt(n)) ** (n / 4))
+
+    @classmethod
+    def _oriented(cls, n, world, m_sorted, masks, dict_vars, negated, r_bits, s_bits, seed):
+        """Unateness instance with orientation ``r`` on ``M`` and ``s`` on
+        its complement (both in ascending coordinate order)."""
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[m_sorted] = r_bits
+        bits[_complement(n, m_sorted)] = s_bits
+        return cls(
+            n,
+            world,
+            m_sorted=m_sorted,
+            band_centre=n / 4,
+            orientation=BitString.from_array(bits),
+            term_masks=masks,
+            dict_vars=dict_vars,
+            dict_negated=negated,
+            seed=seed,
+        )
 
     @classmethod
     def sample(cls, n: int, world: str, seed: int) -> "UnateInstance":
@@ -861,7 +735,7 @@ class UnateInstance:
         )
         masks = np.zeros((N, n), dtype=bool)
         masks[:, m_sorted] = inside
-        mbar = np.asarray(sorted(set(range(n)) - set(int(i) for i in m_sorted)))
+        mbar = _complement(n, m_sorted)
         dict_vars = mbar[
             derive_generator(seed, "unate", "dict").integers(0, half, size=N)
         ].astype(np.int32)
@@ -873,16 +747,8 @@ class UnateInstance:
             negated = np.zeros(N, dtype=bool)
         r_bits = derive_generator(seed, "unate", "r").integers(0, 2, size=half)
         s_bits = derive_generator(seed, "unate", "s").integers(0, 2, size=half)
-        return cls(
-            n,
-            world,
-            m_sorted=m_sorted,
-            term_masks=masks,
-            dict_vars=dict_vars,
-            dict_negated=negated,
-            r_bits=r_bits,
-            s_bits=s_bits,
-            seed=seed,
+        return cls._oriented(
+            n, world, m_sorted, masks, dict_vars, negated, r_bits, s_bits, seed
         )
 
     @classmethod
@@ -898,23 +764,14 @@ class UnateInstance:
     ) -> "UnateInstance":
         m_sorted = np.asarray(sorted(m_members), dtype=np.int32)
         half = len(m_sorted)
-        masks = np.zeros((len(terms), n), dtype=bool)
-        for i, t in enumerate(terms):
-            for v in t:
-                masks[i, v] = True
         dv = np.asarray([d[0] for d in dictators], dtype=np.int32)
+        if np.isin(dv, m_sorted).any():
+            raise ValueError("dictator variables must lie outside M")
         neg = np.asarray([bool(d[1]) for d in dictators], dtype=bool)
         rb = np.zeros(half, np.uint8) if r_bits is None else np.asarray(r_bits)
         sb = np.zeros(n - half, np.uint8) if s_bits is None else np.asarray(s_bits)
-        return cls(
-            n,
-            world,
-            m_sorted=m_sorted,
-            term_masks=masks,
-            dict_vars=dv,
-            dict_negated=neg,
-            r_bits=rb,
-            s_bits=sb,
+        return cls._oriented(
+            n, world, m_sorted, _term_masks(n, terms), dv, neg, rb, sb, None
         )
 
     def term(self, i: int) -> Term:
@@ -931,12 +788,7 @@ class UnateInstance:
         return (y.bits & self._m_mask).bit_count()
 
     def band_class_base(self, y: BitString) -> str:
-        w = self.m_weight(y)
-        if w < self.band_low:
-            return "low"
-        if w > self.band_high:
-            return "high"
-        return "middle"
+        return _band_class(self.m_weight(y), self.band_low, self.band_high)
 
     def satisfied_terms_base(self, y: BitString, limit: int = 2) -> list[int]:
         yb = y.to_array()
@@ -969,32 +821,27 @@ class UnateInstance:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
         return self.base_value(x.xor(self.orientation))
 
-    def base_truth_table(self) -> np.ndarray:
+    def _base_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whole-cube scan of the de-oriented function.
+
+        Returns its truth table, the in-band points that satisfy exactly
+        one term (ascending) and that term for each of them.
+        """
         _require_table_cap(self.n)
         X = _points_matrix(self.n)
-        size = 1 << self.n
         wM = X[:, self.M_sorted].sum(axis=1)
-        table = np.zeros(size, dtype=np.uint8)
+        table = np.zeros(1 << self.n, dtype=np.uint8)
         table[wM > self.band_high] = 1
         mid = (wM >= self.band_low) & (wM <= self.band_high)
-        count = np.zeros(size, dtype=np.uint8)
-        first = np.full(size, -1, dtype=np.int32)
-        for i in range(self.N):
-            members = np.flatnonzero(self._masks[i])
-            sat = X[:, members].all(axis=1) if len(members) else np.ones(size, bool)
-            newly = sat & (count == 0)
-            first[newly] = i
-            count[sat & (count < 2)] += 1
+        count, first = _first_two(X, [np.flatnonzero(m) for m in self._masks])
         table[mid & (count >= 2)] = 1
-        unique = mid & (count == 1)
-        rows = np.flatnonzero(unique)
-        if len(rows):
-            ks = self._dict_vars[first[rows]]
-            vals = X[rows, ks].astype(np.uint8)
-            neg = self._dict_negated[first[rows]]
-            vals[neg] = 1 - vals[neg]
-            table[rows] = vals
-        return table
+        rows = np.flatnonzero(mid & (count == 1))
+        terms = first[rows]
+        table[rows] = X[rows, self._dict_vars[terms]] ^ self._dict_negated[terms]
+        return table, rows, terms
+
+    def base_truth_table(self) -> np.ndarray:
+        return self._base_scan()[0]
 
     def truth_table(self) -> np.ndarray:
         base = self.base_truth_table()
@@ -1018,8 +865,8 @@ class UnateInstance:
                 {"index": int(v) + 1, "negated": bool(g)}
                 for v, g in zip(self._dict_vars, self._dict_negated)
             ],
-            "r_bits": [int(b) for b in self.r_bits],
-            "s_bits": [int(b) for b in self.s_bits],
+            "r_bits": [self.orientation[int(i)] for i in self.M_sorted],
+            "s_bits": [self.orientation[int(i)] for i in self.Mbar_sorted],
         }
 
     @classmethod
@@ -1037,6 +884,81 @@ class UnateInstance:
     def _with_seed(self, seed) -> "UnateInstance":
         self.seed = seed
         return self
+
+
+class OneLevelInstance(UnateInstance):
+    """Single-level multiplexer: the core with ``M = [n]``, band centre
+    ``n/2``, zero orientation and one polarity for every term (dictators in
+    the yes world, anti-dictators in the no world)."""
+
+    family = "onelevel"
+
+    # with zero orientation every query is its own de-oriented point
+    weight_class = UnateInstance.band_class_base
+    satisfied_terms = UnateInstance.satisfied_terms_base
+    route = UnateInstance.route_base
+
+    def __init__(
+        self,
+        n: int,
+        world: str,
+        *,
+        term_masks: np.ndarray,
+        dict_vars: np.ndarray,
+        seed: int | None = None,
+    ):
+        super().__init__(
+            n,
+            world,
+            m_sorted=np.arange(n),
+            band_centre=n / 2,
+            orientation=BitString.zeros(n),
+            term_masks=term_masks,
+            dict_vars=dict_vars,
+            dict_negated=np.full(len(dict_vars), world == "no"),
+            seed=seed,
+        )
+
+    @classmethod
+    def sample(cls, n: int, world: str, seed: int) -> "OneLevelInstance":
+        if n < 9:
+            raise ValueError(f"n must be at least 9, got {n}")
+        if not _is_square(n):
+            raise ValueError("n must be a perfect square")
+        N = 1 << math.isqrt(n)
+        masks = derive_generator(seed, "onelevel", "terms").random((N, n)) < 1.0 / math.sqrt(n)
+        dict_vars = derive_generator(seed, "onelevel", "dict").integers(
+            0, n, size=N, dtype=np.int32
+        )
+        return cls(n, world, term_masks=masks, dict_vars=dict_vars, seed=seed)
+
+    @classmethod
+    def from_parts(
+        cls,
+        n: int,
+        world: str,
+        terms: Sequence[Iterable[int]],
+        dict_vars: Sequence[int],
+    ) -> "OneLevelInstance":
+        return cls(
+            n, world, term_masks=_term_masks(n, terms), dict_vars=np.asarray(dict_vars)
+        )
+
+    def to_json(self) -> dict:
+        obj = super().to_json()
+        for key in ("M", "r_bits", "s_bits"):  # fixed by the family
+            del obj[key]
+        obj["dictators"] = (self._dict_vars + 1).tolist()
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "OneLevelInstance":
+        return cls.from_parts(
+            obj["n"],
+            obj["world"],
+            [[v - 1 for v in t] for t in obj["terms"]],
+            [d - 1 for d in obj["dictators"]],
+        )._with_seed(obj.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -1113,7 +1035,3 @@ def instance_from_json(obj: dict):
         raise ValueError(f"unknown family {fam!r}")
     return _FAMILIES[fam].from_json(obj)
 
-
-def truth_table(inst) -> np.ndarray:
-    """Full table of any instance (dispatches to the vectorized builders)."""
-    return inst.truth_table()

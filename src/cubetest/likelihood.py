@@ -102,14 +102,9 @@ def _mono_patterns_match(inst: MonoInstance, t: MonoTranscript) -> bool:
     return True
 
 
-def _single_level_patterns_match(inst, t: SingleLevelTranscript, oriented: bool) -> bool:
+def _single_level_patterns_match(inst: UnateInstance, t: SingleLevelTranscript) -> bool:
     for x, sig in t.queries:
-        y = x.xor(inst.orientation) if oriented else x
-        hits = (
-            inst.satisfied_terms_base(y, limit=2)
-            if oriented
-            else inst.satisfied_terms(y, limit=2)
-        )
+        hits = inst.satisfied_terms_base(x.xor(inst.orientation), limit=2)
         if len(hits) == 0:
             ok = sig.term.kind == "none"
         elif len(hits) == 1:
@@ -196,7 +191,7 @@ def onelevel_outcome_likelihood(
                 f"term {i} is inconsistent; the closed form only covers "
                 "consistent outcomes"
             )
-    if not _single_level_patterns_match(inst, t, oriented=False):
+    if not _single_level_patterns_match(inst, t):
         return LeafLikelihood(0.0, 0.0)
     n = inst.n
     p_yes = 1.0
@@ -213,7 +208,7 @@ def onelevel_outcome_likelihood(
 def onelevel_outcome_likelihood_bruteforce(
     inst: OneLevelInstance, t: SingleLevelTranscript
 ) -> LeafLikelihood:
-    if not _single_level_patterns_match(inst, t, oriented=False):
+    if not _single_level_patterns_match(inst, t):
         return LeafLikelihood(0.0, 0.0)
     n = inst.n
     p_yes = 1.0
@@ -280,7 +275,7 @@ def unate_transcript_likelihood(
     exhaustive when at most ``exhaustive_cap`` coordinates are involved,
     Monte-Carlo with a reported confidence interval otherwise.
     """
-    if not _single_level_patterns_match(inst, t, oriented=True):
+    if not _single_level_patterns_match(inst, t):
         return UnateLikelihood(0.0, 0.0)
     n, mbar, reps, alphas = _unate_setup(inst, t)
 
@@ -347,7 +342,7 @@ def unate_likelihood_bruteforce(
     dictator candidate (variable and polarity), validating each directly
     against the recorded values and breach revelations.
     """
-    if not _single_level_patterns_match(inst, t, oriented=True):
+    if not _single_level_patterns_match(inst, t):
         return UnateLikelihood(0.0, 0.0)
     n = inst.n
     mbar = sorted(t.Mbar)

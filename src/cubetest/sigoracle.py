@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import BitString
-from .families import MonoInstance, OneLevelInstance, UnateInstance
+from .families import MonoInstance, UnateInstance
 
 __all__ = [
     "OutOfBandError",
@@ -33,7 +33,6 @@ __all__ = [
     "onelevel_signature",
     "value_from_mono_signature",
     "value_from_unate_signature",
-    "MonoSignatureOracle",
 ]
 
 
@@ -268,10 +267,10 @@ def value_from_mono_signature(weight_class: str, sig: FullSignature | None) -> i
 
 
 def unate_signature(inst: UnateInstance, x: BitString) -> UnateSignature:
-    """Signature of a query against a unateness instance.
+    """Signature of a query against a single-level instance.
 
     The orientation is XORed in first; the query must land in the middle
-    band of the hidden half after that XOR.
+    band of the weight inside ``M`` after that XOR.
     """
     y = x.xor(inst.orientation)
     if inst.band_class_base(y) != "middle":
@@ -292,24 +291,9 @@ def unate_signature(inst: UnateInstance, x: BitString) -> UnateSignature:
     )
 
 
-def onelevel_signature(inst: OneLevelInstance, x: BitString) -> UnateSignature:
-    """Signature of a query against a single-level instance (no orientation)."""
-    if inst.weight_class(x) != "middle":
-        raise OutOfBandError(
-            f"|x|={x.weight} outside the middle layers "
-            f"[{inst.band_low:.2f}, {inst.band_high:.2f}]; "
-            "the signature oracle only answers in-band queries"
-        )
-    tp = _term_pattern(inst.satisfied_terms(x, limit=2))
-    if tp.kind == "none":
-        return UnateSignature(tp)
-    if tp.kind == "unique":
-        return UnateSignature(tp, inst.dictator(tp.first).value_at(x))
-    return UnateSignature(
-        tp,
-        inst.dictator(tp.first).value_at(x),
-        inst.dictator(tp.second).value_at(x),
-    )
+# a one-level instance is the single-level core with M = [n] and zero
+# orientation, so y = x and |y_M| = |x| above
+onelevel_signature = unate_signature
 
 
 def value_from_unate_signature(band_class: str, sig: UnateSignature | None) -> int:
@@ -328,14 +312,3 @@ def value_from_unate_signature(band_class: str, sig: UnateSignature | None) -> i
         return sig.a
     return 1
 
-
-class MonoSignatureOracle:
-    """Query-counting wrapper around :func:`mono_full_signature`."""
-
-    def __init__(self, inst: MonoInstance):
-        self.inst = inst
-        self.queries_used = 0
-
-    def query(self, x: BitString) -> FullSignature:
-        self.queries_used += 1
-        return mono_full_signature(self.inst, x)

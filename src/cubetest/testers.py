@@ -498,13 +498,12 @@ def has_unate_violation(
     return OrientationMapWitness(tuple(varying), pairs)
 
 
-def check_orientation(
-    points: Iterable[BitString], r: BitString, n: int, log_base: float = 2.0
-) -> bool:
+def check_orientation(points: Iterable[BitString], r: BitString, n: int) -> bool:
     """True iff every pair comparable after XOR with ``r`` is within
-    Hamming distance ``2 log n``."""
+    Hamming distance ``2 log2 n``."""
     pts = list(points)
-    limit = 2.0 * math.log(n) / math.log(log_base)
+    # not math.log2: the quotient differs from it in the last bit at some n
+    limit = 2.0 * math.log(n) / math.log(2.0)
     for idx, a in enumerate(pts):
         ar = a.xor(r)
         for b in pts[idx + 1 :]:

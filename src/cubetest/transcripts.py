@@ -66,14 +66,13 @@ class ClassifierConfig:
     """Thresholds used by the bad-edge classifiers and balance checks.
 
     Every threshold defaults to its standard formula in the dimension
-    ``n`` (with logarithms in ``log_base``, base 2 by default) and can be
+    ``n`` (with base-2 logarithms) and can be
     overridden individually, which is how the hand-crafted fixtures make
     the rare events reachable at desk-scale dimensions.
     """
 
     n: int
     alpha: float = 4.0
-    log_base: float = 2.0
     mono_drop_threshold: Optional[float] = None  # alpha * sqrt(n) * log n
     unate_drop_threshold: Optional[float] = None  # n^(2/3) * log n
     balance_delta_threshold: Optional[float] = None  # n^(2/3) * log n
@@ -91,7 +90,8 @@ class ClassifierConfig:
 
     @property
     def log_n(self) -> float:
-        return math.log(self.n) / math.log(self.log_base)
+        # not math.log2: the quotient differs from it in the last bit at some n
+        return math.log(self.n) / math.log(2.0)
 
     @property
     def mono_drop(self) -> float:

@@ -13,20 +13,17 @@ from cubetest.core import (
     IndexSet,
     RngStream,
     derive_generator,
-    flip_set,
-    precedes,
-    rng_draw,
 )
 
 
 class TestFlipSet:
     def test_empty_set_is_identity(self):
         x = BitString.zeros(4)
-        assert flip_set(x, IndexSet(4, [])) == x
+        assert x.flip(IndexSet(4, [])) == x
 
     def test_all_flip(self):
         x = BitString.zeros(4)
-        assert flip_set(x, IndexSet(4, [0, 1, 2, 3])) == BitString.ones(4)
+        assert x.flip(IndexSet(4, [0, 1, 2, 3])) == BitString.ones(4)
 
     def test_single_coordinate(self):
         x = BitString.from_bits([1, 0, 1])
@@ -51,29 +48,29 @@ class TestFlipSet:
 
 class TestPrecedes:
     def test_bottom_below_top(self):
-        assert precedes(BitString.zeros(3), BitString.ones(3))
+        assert BitString.zeros(3).precedes(BitString.ones(3))
 
     def test_strictness(self):
         x = BitString.from_bits([1, 0, 1])
-        assert not precedes(x, x)
+        assert not x.precedes(x)
 
     def test_incomparable(self):
-        assert not precedes(BitString.from_bits([1, 0]), BitString.from_bits([0, 1]))
-        assert not precedes(BitString.from_bits([0, 1]), BitString.from_bits([1, 0]))
+        assert not BitString.from_bits([1, 0]).precedes(BitString.from_bits([0, 1]))
+        assert not BitString.from_bits([0, 1]).precedes(BitString.from_bits([1, 0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            precedes(BitString.zeros(3), BitString.zeros(4))
+            BitString.zeros(3).precedes(BitString.zeros(4))
 
     @given(st.lists(st.integers(0, 2**16 - 1), min_size=3, max_size=3))
     @settings(max_examples=300)
     def test_strict_partial_order(self, triple):
         a, b, c = (BitString(16, v) for v in triple)
-        assert not precedes(a, a)
-        if precedes(a, b):
-            assert not precedes(b, a)
-        if precedes(a, b) and precedes(b, c):
-            assert precedes(a, c)
+        assert not a.precedes(a)
+        if a.precedes(b):
+            assert not b.precedes(a)
+        if a.precedes(b) and b.precedes(c):
+            assert a.precedes(c)
 
 
 class TestBitString:
@@ -119,7 +116,7 @@ class TestIndexSet:
 class TestRngStream:
     def test_range_one_always_one(self):
         s = RngStream(1, "t")
-        assert all(rng_draw(s, 1) == 1 for _ in range(50))
+        assert all(s.draw(1) == 1 for _ in range(50))
 
     def test_replay_determinism(self):
         a = RngStream(99, "tag", (1, 2))

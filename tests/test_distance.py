@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,20 @@ class TestWitnessEdges:
                 assert x not in seen and xs not in seen
                 seen.add(x)
                 seen.add(xs)
+
+    def test_witness_edges_violate_at_band_top(self):
+        # this instance has a cell witness candidate x at the top weight of
+        # the band (10); its flip x^(k) leaves the band and reads 1
+        inst = MonoInstance.sample(14, "no", seed=9150456756868688970, term_len=4)
+        table = inst.truth_table()
+        top = math.floor(inst.band_high)
+        edges = witness_edge_family(inst) + [
+            edge
+            for bits in middle_layer_indices(14, top, top)
+            if (edge := witness_edge_at(inst, BitString(14, int(bits)))) is not None
+        ]
+        for x, xs in edges:
+            assert table[x.bits] == 1 and table[xs.bits] == 0
 
     def test_pointwise_matches_scan(self, rng):
         inst = MonoInstance.sample(16, "no", seed=4)

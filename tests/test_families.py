@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -289,18 +290,18 @@ class TestFi:
             QuadrantInstance(4, 4)
 
 
+_BUILDS = [
+    lambda: MonoInstance.sample(16, "no", seed=1, storage="explicit"),
+    lambda: MonoInstance.sample(16, "yes", seed=2, storage="lazy"),
+    lambda: FlippedDnfInstance.sample(16, "no", seed=3),
+    lambda: OneLevelInstance.sample(16, "yes", seed=4),
+    lambda: UnateInstance.sample(16, "no", seed=5),
+    lambda: QuadrantInstance(6, 2),
+]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: MonoInstance.sample(16, "no", seed=1, storage="explicit"),
-            lambda: MonoInstance.sample(16, "yes", seed=2, storage="lazy"),
-            lambda: FlippedDnfInstance.sample(16, "no", seed=3),
-            lambda: OneLevelInstance.sample(16, "yes", seed=4),
-            lambda: UnateInstance.sample(16, "no", seed=5),
-            lambda: QuadrantInstance(6, 2),
-        ],
-    )
+    @pytest.mark.parametrize("build", _BUILDS)
     def test_roundtrip_preserves_values(self, build, rng):
         inst = build()
         blob = json.dumps(inst.to_json(), sort_keys=True)
@@ -310,8 +311,35 @@ class TestSerialization:
             x = BitString.random(dim, rng)
             assert inst.value(x) == back.value(x)
 
-    def test_roundtrip_bytes_identical(self):
-        inst = MonoInstance.sample(16, "no", seed=1, storage="explicit")
+    @pytest.mark.parametrize("build", _BUILDS)
+    def test_roundtrip_bytes_identical(self, build):
+        inst = build()
         blob = json.dumps(inst.to_json(), sort_keys=True)
         back = instance_from_json(json.loads(blob))
         assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+# blake2b digests of truth_table() as the one-level and unateness families
+# computed it when each had its own implementation; they pin the shared
+# single-level core's output bit for bit
+SINGLE_LEVEL_TABLE_DIGESTS = {
+    ("onelevel", 0, "yes"): "e6aa26c1c82c0149c36808558dbdab11",
+    ("onelevel", 0, "no"): "980cec256bbd040ce4461dd29b5cd4d8",
+    ("onelevel", 1, "yes"): "a03147e4d9c23ac0b1bf015f0da8f1e1",
+    ("onelevel", 1, "no"): "cd16ae9b0dc5bf52cdafcea7ec396a3c",
+    ("unate", 0, "yes"): "b722c22d7afcc24a7717cb06b9a4e772",
+    ("unate", 0, "no"): "d1ca4b99693cc4ccc0ac43bdeefc86c9",
+    ("unate", 1, "yes"): "a616f3b1b0b8314ceb296e29c010e0b1",
+    ("unate", 1, "no"): "6808535c6acdd4ac265fcf00cf2cef76",
+}
+
+
+def test_single_level_tables_pinned():
+    got = {}
+    for cls in (OneLevelInstance, UnateInstance):
+        for seed in (0, 1):
+            for world in ("yes", "no"):
+                table = cls.sample(16, world, seed).truth_table()
+                digest = hashlib.blake2b(table.tobytes(), digest_size=16)
+                got[cls.family, seed, world] = digest.hexdigest()
+    assert got == SINGLE_LEVEL_TABLE_DIGESTS
