@@ -6,7 +6,8 @@ and signatures), ``attack`` (run a tester against an instance),
 (run a named experiment from a JSON config), ``verify`` (re-run a stored
 experiment and compare).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error.
+Exit codes: 0 ok, 1 verification failure or an experiment with failed
+seeds (``error:*`` rows), 2 usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .families import (
     instance_from_json,
 )
 from .experiments import (
+    _ATTACKS,
     ExperimentConfig,
     run_experiment,
     rows_to_csv,
@@ -40,14 +42,14 @@ from .experiments import (
     write_results,
 )
 from .sigoracle import (
+    FullSignature,
     OutOfBandError,
     mono_full_signature,
-    onelevel_signature,
     unate_signature,
     value_from_mono_signature,
     value_from_unate_signature,
 )
-from .testers import TesterConfig, flipped_dnf_attack, edge_tester, two_level_attack
+from .testers import TesterConfig
 
 _SAMPLERS = {
     "mono": lambda a: MonoInstance.sample(a.n, a.world, a.seed, storage=a.storage),
@@ -80,17 +82,20 @@ def _cmd_sample(args, parser) -> int:
     return 0
 
 
-def _signature_record(inst, x: BitString) -> dict:
+def _signature(inst, x: BitString):
     if isinstance(inst, MonoInstance):
-        sig = mono_full_signature(inst, x)
-        value = value_from_mono_signature("middle", sig)
-    elif isinstance(inst, UnateInstance):  # both single-level families
-        sig = unate_signature(inst, x)
-        value = value_from_unate_signature("middle", sig)
-    else:
-        raise OutOfBandError(f"{type(inst).__name__} has no signature oracle")
+        return mono_full_signature(inst, x)
+    if isinstance(inst, UnateInstance):  # both single-level families
+        return unate_signature(inst, x)
+    raise OutOfBandError(f"{type(inst).__name__} has no signature oracle")
+
+
+def _signature_record(sig) -> dict:
     rec = sig.to_json()
-    rec["value_from_signature"] = value
+    if isinstance(sig, FullSignature):
+        rec["value_from_signature"] = value_from_mono_signature("middle", sig)
+    else:
+        rec["value_from_signature"] = value_from_unate_signature("middle", sig)
     return rec
 
 
@@ -103,7 +108,7 @@ def _cmd_eval(args, parser) -> int:
         points.extend(BitString.random(dim, rng) for _ in range(args.random))
     if not points:
         parser.error("nothing to evaluate: pass --x or --random")
-    transcript = None
+    transcript = oracle = None
     if args.transcript_out:
         from .transcripts import (
             MonoTranscript,
@@ -116,37 +121,29 @@ def _cmd_eval(args, parser) -> int:
         elif isinstance(inst, OneLevelInstance):
             transcript = SingleLevelTranscript(inst.n)
         elif isinstance(inst, UnateInstance):
-            transcript = UnateSignatureOracle(inst).transcript
+            oracle = UnateSignatureOracle(inst)  # reveals breached terms
+            transcript = oracle.transcript
         else:
             parser.error(f"{type(inst).__name__} has no signature transcript")
     for x in points:
         rec = {"x": x.to_hex(), "value": inst.value(x)}
-        if args.signature or transcript is not None:
-            rec["signature"] = _signature_record(inst, x)
-        if transcript is not None:
-            if isinstance(inst, MonoInstance):
-                transcript.extend(x, mono_full_signature(inst, x))
-            elif isinstance(inst, OneLevelInstance):
-                transcript.extend(x, onelevel_signature(inst, x))
-            else:
-                transcript.extend(
-                    x,
-                    unate_signature(inst, x),
-                    reveal=lambda i: int(inst._dict_vars[i]),
-                )
+        if oracle is not None:
+            rec["signature"] = _signature_record(oracle.query(x)[0])
+        elif args.signature or transcript is not None:
+            sig = _signature(inst, x)
+            if transcript is not None:
+                transcript.extend(x, sig)
+            rec["signature"] = _signature_record(sig)
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
     if transcript is not None:
         Path(args.transcript_out).write_text(transcript.dump_jsonl())
     return 0
 
 
-_CLI_ATTACKS = {"edge": edge_tester, "flipdnf": flipped_dnf_attack, "two-level": two_level_attack}
-
-
 def _cmd_attack(args, parser) -> int:
     inst = _load_instance(args.instance)
     cfg = TesterConfig(q=args.budget, seed=args.seed)
-    verdict = _CLI_ATTACKS[args.attack](inst.value, _instance_dimension(inst), cfg)
+    verdict = _ATTACKS[args.attack](inst.value, _instance_dimension(inst), cfg)
     text = _dump_json(verdict.to_json())
     if args.out:
         Path(args.out).write_text(text)
@@ -203,7 +200,10 @@ def _cmd_experiment(args, parser) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(rows_to_csv(rows))
-    return 0
+    failed = [r for r in rows if r.metric.startswith("error:")]
+    for r in failed:
+        sys.stderr.write(f"failed: n={r.n} world={r.world} seed={r.seed} {r.metric}\n")
+    return 1 if failed else 0
 
 
 def _cmd_verify(args, parser) -> int:
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run a tester against an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--attack", required=True, choices=sorted(_CLI_ATTACKS))
+    p.add_argument("--attack", required=True, choices=sorted(_ATTACKS))
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -345,7 +345,7 @@ def _unate_point_class(inst: UnateInstance, y: BitString) -> Optional[tuple[int,
     if r.kind != "term":
         return None
     k = int(inst._dict_vars[r.i])
-    if inst.base_value(y) != 0:
+    if inst.dictator(r.i).value_at(y) != 0:
         return None
     return (k, "+" if y[k] == 0 else "-")
 

@@ -30,6 +30,7 @@ from .distance import (
     exact_dist_mono,
     exact_dist_unate,
     exhaustive_witness_density,
+    sample_middle_layer,
     unate_dist_lower_bound,
     witness_edge_family,
 )
@@ -233,13 +234,6 @@ def _signature_soundness_task(args) -> list[ResultRow]:
     ]
 
 
-def _random_middle_point(inst, rng) -> BitString:
-    while True:
-        x = BitString.random(inst.n, rng)
-        if inst.weight_class(x) == "middle":
-            return x
-
-
 def _tuple_axioms_task(args) -> list[ResultRow]:
     cfg_json, n, world, seed = args
     cfg = ExperimentConfig.from_json(cfg_json)
@@ -248,7 +242,7 @@ def _tuple_axioms_task(args) -> list[ResultRow]:
     rng = RngStream(seed, "axioms")
     t = MonoTranscript(n)
     for _ in range(cfg.queries_per_transcript):
-        x = _random_middle_point(inst, rng)
+        x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
         t.extend(x, mono_full_signature(inst, x))
     violations = len(t.check_axioms()) + len(t.cross_check_instance(inst))
     dt = time.perf_counter() - t0
@@ -282,7 +276,7 @@ def _likelihood_equivalence_task(args) -> list[ResultRow]:
     inst = _toy_mono_instance(n, world, seed)
     t = MonoTranscript(n)
     for _ in range(cfg.queries_per_transcript):
-        x = _random_middle_point(inst, rng)
+        x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
         t.extend(x, mono_full_signature(inst, x))
     if all(consistency_status(t, i, j) != "inconsistent" for (i, j) in t.rho):
         closed = mono_leaf_likelihood(inst, t)
@@ -440,7 +434,7 @@ def _classifier_sanity_task(args) -> list[ResultRow]:
     t = MonoTranscript(n)
     false_e3 = 0
     for _ in range(cfg.queries_per_transcript):
-        x = _random_middle_point(inst, rng)
+        x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
         sig = mono_full_signature(inst, x)
         edge = classify_mono_edge(t, x, sig, ccfg)
         if edge.kind == "E3":
@@ -448,7 +442,7 @@ def _classifier_sanity_task(args) -> list[ResultRow]:
             i, j = edge.i, edge.j
             actual = (
                 consistency_status(t, i, j) == "zero_consistent"
-                and (sig.a if j == sig.clause.first else sig.b) == 1
+                and sig.value_for(j) == 1
             )
             if not actual:
                 false_e3 += 1
@@ -572,11 +566,21 @@ def _stable_columns(csv_text: str) -> list[tuple]:
     return [tuple(v for k, v in enumerate(r) if k != drop) for r in rows[1:]]
 
 
+def _error_rows(csv_text: str) -> list[str]:
+    """``n/world/seed/metric`` of each ``error:*`` row (a failed seed)."""
+    return [
+        f"{r['n']}/{r['world']}/{r['seed']}/{r['metric']}"
+        for r in csv.DictReader(io.StringIO(csv_text))
+        if r["metric"].startswith("error:")
+    ]
+
+
 def verify_results(results_dir: str | Path, threads: Optional[int] = None) -> tuple[bool, str]:
     """Re-run the config stored next to a results file and compare rows.
 
     Returns (ok, message); metric columns must match exactly, wall time is
-    ignored.
+    ignored, and an ``error:*`` row in the stored or the fresh rows fails
+    the check (a seed that fails the same way twice is still a failure).
     """
     target = Path(results_dir)
     meta = json.loads((target / "meta.json").read_text())
@@ -585,8 +589,12 @@ def verify_results(results_dir: str | Path, threads: Optional[int] = None) -> tu
         cfg.threads = threads
     if meta.get("config_hash") != cfg.config_hash():
         return False, "config hash mismatch between meta.json and recomputed hash"
-    fresh = rows_to_csv(run_experiment(cfg))
     old = (target / "rows.csv").read_text()
+    if failed := _error_rows(old):
+        return False, f"stored rows hold failed seeds: {', '.join(failed)}"
+    fresh = rows_to_csv(run_experiment(cfg))
+    if failed := _error_rows(fresh):
+        return False, f"the rerun has failed seeds: {', '.join(failed)}"
     if _stable_columns(fresh) != _stable_columns(old):
         return False, "metric columns differ from the stored rows"
     return True, f"verified {meta['row_count']} rows for {cfg.experiment}"

@@ -31,6 +31,7 @@ from .transcripts import (
     MonoTranscript,
     SingleLevelTranscript,
     UnateTranscript,
+    _status,
     consistency_status,
 )
 
@@ -79,91 +80,61 @@ class UnateLikelihood:
 
 def _mono_patterns_match(inst: MonoInstance, t: MonoTranscript) -> bool:
     for x, sig in t.queries:
-        hits = inst.satisfied_terms(x, limit=2)
-        if len(hits) == 0:
-            ok = sig.term.kind == "none"
-        elif len(hits) == 1:
-            ok = sig.term == TermPattern("unique", hits[0])
-        else:
-            ok = sig.term == TermPattern("multi", hits[0], hits[1])
-        if not ok:
+        if sig.term != TermPattern.of(inst.satisfied_terms(x, limit=2)):
             return False
-        if sig.term.kind != "unique":
-            continue
-        fals = inst.falsified_clauses(sig.term.first, x, limit=2)
-        if len(fals) == 0:
-            ok = sig.clause.kind == "all_one"
-        elif len(fals) == 1:
-            ok = sig.clause == ClausePattern("unique", fals[0])
-        else:
-            ok = sig.clause == ClausePattern("multi", fals[0], fals[1])
-        if not ok:
+        if sig.term.kind == "unique" and sig.clause != ClausePattern.of(
+            inst.falsified_clauses(sig.term.first, x, limit=2)
+        ):
             return False
     return True
 
 
 def _single_level_patterns_match(inst: UnateInstance, t: SingleLevelTranscript) -> bool:
-    for x, sig in t.queries:
-        hits = inst.satisfied_terms_base(x.xor(inst.orientation), limit=2)
-        if len(hits) == 0:
-            ok = sig.term.kind == "none"
-        elif len(hits) == 1:
-            ok = sig.term == TermPattern("unique", hits[0])
-        else:
-            ok = sig.term == TermPattern("multi", hits[0], hits[1])
-        if not ok:
-            return False
-    return True
+    return all(
+        sig.term == TermPattern.of(inst.satisfied_terms_base(x.xor(inst.orientation), limit=2))
+        for x, sig in t.queries
+    )
 
 
 # ---------------------------------------------------------------------------
-# Two-level leaf likelihood
+# Leaf likelihoods: one closed-form product, one enumeration
 # ---------------------------------------------------------------------------
 
 
-def mono_leaf_likelihood(inst: MonoInstance, t: MonoTranscript) -> LeafLikelihood:
-    """Closed-form reach probabilities over the dictator draw.
-
-    Requires every tracked cell to be consistent (the formula is only
-    meaningful at such leaves).  Conditioned on the instance's terms and
-    clauses matching the recorded patterns; if they do not, both
-    probabilities are zero.
-    """
-    for cell in t.rho:
-        if consistency_status(t, *cell) == "inconsistent":
-            raise ValueError(
-                f"cell {cell} is inconsistent; the closed form only covers "
-                "consistent leaves"
-            )
-    if not _mono_patterns_match(inst, t):
+def _closed_product(
+    inst, t, patterns_match, A1: dict, A0: dict, inconsistent: str
+) -> LeafLikelihood:
+    """Product over the tracked keys of ``t.rho`` (sorted, all consistent)
+    of |A_rho| / n (yes, dictator) and |A_(1-rho)| / n (no, anti-dictator),
+    the agreement sets being ``A1``/``A0``; ``inconsistent`` formats the
+    error for the first key that is not consistent."""
+    for key, values in t.rho.items():
+        if _status(values.values()) == "inconsistent":
+            raise ValueError(inconsistent.format(key))
+    if not patterns_match(inst, t):
         return LeafLikelihood(0.0, 0.0)
     n = inst.n
     p_yes = 1.0
     p_no = 1.0
-    for (i, j), values in sorted(t.rho.items()):
+    for key, values in sorted(t.rho.items()):
         rho = next(iter(values.values()))
-        size_rho = len(t.Aij1[(i, j)] if rho == 1 else t.Aij0[(i, j)])
-        size_other = len(t.Aij0[(i, j)] if rho == 1 else t.Aij1[(i, j)])
+        size_rho = len(A1[key] if rho == 1 else A0[key])
+        size_other = len(A0[key] if rho == 1 else A1[key])
         p_yes *= size_rho / n
         p_no *= size_other / n
     return LeafLikelihood(p_yes, p_no)
 
 
-def mono_leaf_likelihood_bruteforce(
-    inst: MonoInstance, t: MonoTranscript
-) -> LeafLikelihood:
-    """Enumeration over dictator choices, cell by cell.
-
-    For every tracked cell, counts the variables whose dictator (yes) or
-    anti-dictator (no) reproduces each recorded value on the raw queries;
-    cells are independent, untracked cells are unconstrained.
-    """
-    if not _mono_patterns_match(inst, t):
+def _dictator_counts(inst, t, patterns_match) -> LeafLikelihood:
+    """Enumeration over dictator choices: for each tracked key of ``t.rho``
+    (sorted), the share of variables whose dictator (yes) or anti-dictator
+    (no) reproduces every recorded value on the raw queries."""
+    if not patterns_match(inst, t):
         return LeafLikelihood(0.0, 0.0)
     n = inst.n
     p_yes = 1.0
     p_no = 1.0
-    for (i, j), values in sorted(t.rho.items()):
+    for _, values in sorted(t.rho.items()):
         yes_count = 0
         no_count = 0
         for k in range(n):
@@ -176,57 +147,42 @@ def mono_leaf_likelihood_bruteforce(
     return LeafLikelihood(p_yes, p_no)
 
 
-# ---------------------------------------------------------------------------
-# Single-level outcome likelihood
-# ---------------------------------------------------------------------------
+def mono_leaf_likelihood(inst: MonoInstance, t: MonoTranscript) -> LeafLikelihood:
+    """Closed-form reach probabilities over the dictator draw, one factor
+    per tracked cell.
+
+    Requires every tracked cell to be consistent (the formula is only
+    meaningful at such leaves).  Conditioned on the instance's terms and
+    clauses matching the recorded patterns; if they do not, both
+    probabilities are zero.
+    """
+    return _closed_product(
+        inst, t, _mono_patterns_match, t.Aij1, t.Aij0,
+        "cell {} is inconsistent; the closed form only covers consistent leaves",
+    )
+
+
+def mono_leaf_likelihood_bruteforce(
+    inst: MonoInstance, t: MonoTranscript
+) -> LeafLikelihood:
+    """Enumeration over dictator choices, cell by cell."""
+    return _dictator_counts(inst, t, _mono_patterns_match)
 
 
 def onelevel_outcome_likelihood(
     inst: OneLevelInstance, t: SingleLevelTranscript
 ) -> LeafLikelihood:
     """Single-level analogue: one factor per tracked term."""
-    for i in t.rho:
-        if consistency_status(t, i) == "inconsistent":
-            raise ValueError(
-                f"term {i} is inconsistent; the closed form only covers "
-                "consistent outcomes"
-            )
-    if not _single_level_patterns_match(inst, t):
-        return LeafLikelihood(0.0, 0.0)
-    n = inst.n
-    p_yes = 1.0
-    p_no = 1.0
-    for i, values in sorted(t.rho.items()):
-        rho = next(iter(values.values()))
-        size_rho = len(t.A1[i] if rho == 1 else t.A0[i])
-        size_other = len(t.A0[i] if rho == 1 else t.A1[i])
-        p_yes *= size_rho / n
-        p_no *= size_other / n
-    return LeafLikelihood(p_yes, p_no)
+    return _closed_product(
+        inst, t, _single_level_patterns_match, t.A1, t.A0,
+        "term {} is inconsistent; the closed form only covers consistent outcomes",
+    )
 
 
 def onelevel_outcome_likelihood_bruteforce(
     inst: OneLevelInstance, t: SingleLevelTranscript
 ) -> LeafLikelihood:
-    if not _single_level_patterns_match(inst, t):
-        return LeafLikelihood(0.0, 0.0)
-    n = inst.n
-    p_yes = 1.0
-    p_no = 1.0
-    for i, values in sorted(t.rho.items()):
-        yes_count = sum(
-            1
-            for k in range(n)
-            if all(t.queries[q][0][k] == v for q, v in values.items())
-        )
-        no_count = sum(
-            1
-            for k in range(n)
-            if all(1 - t.queries[q][0][k] == v for q, v in values.items())
-        )
-        p_yes *= yes_count / n
-        p_no *= no_count / n
-    return LeafLikelihood(p_yes, p_no)
+    return _dictator_counts(inst, t, _single_level_patterns_match)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ reconstructible from the signature (`value_from_*`), so these oracles are
 at least as strong as the standard one; they never answer queries outside
 the middle weight band.
 
-Pattern entries follow the truncated encoding: a ``multi`` pattern fixes
-the entries up to its second index and leaves the rest unknown
-(``entry()`` returns ``None`` for them).
+Term and clause patterns are one truncated encoding (``_Pattern``, built
+from scan hits by ``of``) with dual marks: a ``multi`` pattern fixes the
+entries up to its second index and leaves the rest unknown (``entry()``
+returns ``None`` for them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional, Sequence
 
 from .core import BitString
 from .families import MonoInstance, UnateInstance
@@ -45,21 +46,23 @@ class OutOfBandError(ValueError):
 
 
 @dataclass(frozen=True)
-class TermPattern:
-    """Which terms a query satisfies: none, a unique one, or two or more.
+class _Pattern:
+    """Truncated 0/1 pattern over indices: empty, a unique marked index, or
+    several (``multi``, recording the smallest two).  Marked entries carry
+    ``_MARK``, the others its complement, and those past the second index
+    of a ``multi`` pattern are unknown."""
 
-    ``multi`` records the smallest two satisfying indices; entries beyond
-    the second index are unknown (``entry`` returns None for them).
-    """
-
-    kind: str  # "none" | "unique" | "multi"
+    kind: str  # _EMPTY | "unique" | "multi"
     first: Optional[int] = None
     second: Optional[int] = None
 
+    _EMPTY: ClassVar[str]
+    _MARK: ClassVar[int]
+
     def __post_init__(self):
-        if self.kind == "none":
+        if self.kind == self._EMPTY:
             if self.first is not None or self.second is not None:
-                raise ValueError("'none' pattern carries no indices")
+                raise ValueError(f"{self.kind!r} pattern carries no indices")
         elif self.kind == "unique":
             if self.first is None or self.second is not None:
                 raise ValueError("'unique' pattern carries exactly one index")
@@ -69,9 +72,19 @@ class TermPattern:
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
 
+    @classmethod
+    def of(cls, hits: Sequence[int]):
+        """Pattern whose marked indices are the ascending ``hits`` (only
+        the first two are kept)."""
+        if not hits:
+            return cls(cls._EMPTY)
+        if len(hits) == 1:
+            return cls("unique", hits[0])
+        return cls("multi", hits[0], hits[1])
+
     def members(self) -> tuple[int, ...]:
-        """Indices with a known 1-entry."""
-        if self.kind == "none":
+        """The recorded (marked) indices."""
+        if self.kind == self._EMPTY:
             return ()
         if self.kind == "unique":
             return (self.first,)
@@ -79,55 +92,47 @@ class TermPattern:
 
     def entry(self, k: int) -> Optional[int]:
         """0/1 entry at index ``k``; None where the pattern is unknown."""
-        if self.kind == "none":
-            return 0
-        if self.kind == "unique":
-            return 1 if k == self.first else 0
-        if k == self.first or k == self.second:
-            return 1
-        return 0 if k < self.second else None
+        if self.kind == "multi":
+            if k == self.first or k == self.second:
+                return self._MARK
+            return 1 - self._MARK if k < self.second else None
+        if self.kind == "unique" and k == self.first:
+            return self._MARK
+        return 1 - self._MARK
+
+    def to_json(self) -> list:
+        return [self.kind, self.first, self.second]
 
 
-@dataclass(frozen=True)
-class ClausePattern:
-    """Which clauses the query falsifies: none, a unique one, or several.
+class TermPattern(_Pattern):
+    """Which terms a query satisfies: none, a unique one, or two or more
+    (the marked entries are 1)."""
 
-    Dual encoding to :class:`TermPattern`: the recorded indices carry
-    0-entries, everything else up to the second index is 1.
-    """
+    _EMPTY = "none"
+    _MARK = 1
 
-    kind: str  # "all_one" | "unique" | "multi"
-    first: Optional[int] = None
-    second: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind == "all_one":
-            if self.first is not None or self.second is not None:
-                raise ValueError("'all_one' pattern carries no indices")
-        elif self.kind == "unique":
-            if self.first is None or self.second is not None:
-                raise ValueError("'unique' pattern carries exactly one index")
-        elif self.kind == "multi":
-            if self.first is None or self.second is None or self.first >= self.second:
-                raise ValueError("'multi' pattern needs two increasing indices")
-        else:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
+class ClausePattern(_Pattern):
+    """Which clauses the query falsifies: none (``all_one``), a unique one,
+    or several; the dual of :class:`TermPattern` (the marked entries are 0)."""
 
-    def zero_members(self) -> tuple[int, ...]:
-        if self.kind == "all_one":
-            return ()
-        if self.kind == "unique":
-            return (self.first,)
-        return (self.first, self.second)
+    _EMPTY = "all_one"
+    _MARK = 0
 
-    def entry(self, k: int) -> Optional[int]:
-        if self.kind == "all_one":
-            return 1
-        if self.kind == "unique":
-            return 0 if k == self.first else 1
-        if k == self.first or k == self.second:
-            return 0
-        return 1 if k < self.second else None
+    zero_members = _Pattern.members
+
+
+def _bad_value_field(a: Optional[int], b: Optional[int], pattern) -> Optional[str]:
+    """``a``/``b`` must be the 0/1 dictator values of the first/second
+    recorded member of ``pattern``, and None where it has none (or there is
+    no pattern); returns the name of the first field that is not."""
+    want_a = pattern is not None and pattern.first is not None
+    want_b = pattern is not None and pattern.second is not None
+    if want_a != (a in (0, 1)) or (not want_a and a is not None):
+        return "a"
+    if want_b != (b in (0, 1)) or (not want_b and b is not None):
+        return "b"
+    return None
 
 
 @dataclass(frozen=True)
@@ -148,21 +153,25 @@ class FullSignature:
         if self.term.kind == "unique":
             if self.clause is None:
                 raise ValueError("unique term requires a clause pattern")
-            want_a = self.clause.kind in ("unique", "multi")
-            want_b = self.clause.kind == "multi"
-        else:
-            if self.clause is not None:
-                raise ValueError("clause pattern only exists for a unique term")
-            want_a = want_b = False
-        if want_a != (self.a in (0, 1)) or (not want_a and self.a is not None):
-            raise ValueError(f"bad 'a' field for {self.term.kind}/{self.clause}")
-        if want_b != (self.b in (0, 1)) or (not want_b and self.b is not None):
-            raise ValueError(f"bad 'b' field for {self.term.kind}/{self.clause}")
+        elif self.clause is not None:
+            raise ValueError("clause pattern only exists for a unique term")
+        if bad := _bad_value_field(self.a, self.b, self.clause):
+            raise ValueError(f"bad {bad!r} field for {self.term.kind}/{self.clause}")
+
+    def value_for(self, j: int) -> int:
+        """Observed dictator value of cell ``(term.first, j)`` (clause ``j``
+        must be a recorded falsified clause)."""
+        if self.clause is not None:
+            if j == self.clause.first:
+                return self.a
+            if j == self.clause.second:
+                return self.b
+        raise KeyError(f"clause {j} is not a member of this signature")
 
     def to_json(self) -> dict:
-        obj: dict = {"term": [self.term.kind, self.term.first, self.term.second]}
+        obj: dict = {"term": self.term.to_json()}
         if self.clause is not None:
-            obj["clause"] = [self.clause.kind, self.clause.first, self.clause.second]
+            obj["clause"] = self.clause.to_json()
         if self.a is not None:
             obj["a"] = self.a
         if self.b is not None:
@@ -184,12 +193,8 @@ class UnateSignature:
     b: Optional[int] = None
 
     def __post_init__(self):
-        want_a = self.term.kind in ("unique", "multi")
-        want_b = self.term.kind == "multi"
-        if want_a != (self.a in (0, 1)) or (not want_a and self.a is not None):
-            raise ValueError(f"bad 'a' field for term pattern {self.term.kind}")
-        if want_b != (self.b in (0, 1)) or (not want_b and self.b is not None):
-            raise ValueError(f"bad 'b' field for term pattern {self.term.kind}")
+        if bad := _bad_value_field(self.a, self.b, self.term):
+            raise ValueError(f"bad {bad!r} field for term pattern {self.term.kind}")
 
     def value_for(self, i: int) -> int:
         """Observed dictator value of term ``i`` (which must be a member)."""
@@ -200,20 +205,12 @@ class UnateSignature:
         raise KeyError(f"term {i} is not a member of this signature")
 
     def to_json(self) -> dict:
-        obj: dict = {"term": [self.term.kind, self.term.first, self.term.second]}
+        obj: dict = {"term": self.term.to_json()}
         if self.a is not None:
             obj["a"] = self.a
         if self.b is not None:
             obj["b"] = self.b
         return obj
-
-
-def _term_pattern(hits: list[int]) -> TermPattern:
-    if not hits:
-        return TermPattern("none")
-    if len(hits) == 1:
-        return TermPattern("unique", hits[0])
-    return TermPattern("multi", hits[0], hits[1])
 
 
 def mono_full_signature(inst: MonoInstance, x: BitString) -> FullSignature:
@@ -224,19 +221,14 @@ def mono_full_signature(inst: MonoInstance, x: BitString) -> FullSignature:
             f"[{inst.band_low:.2f}, {inst.band_high:.2f}]; "
             "the signature oracle only answers in-band queries"
         )
-    tp = _term_pattern(inst.satisfied_terms(x, limit=2))
+    tp = TermPattern.of(inst.satisfied_terms(x, limit=2))
     if tp.kind != "unique":
         return FullSignature(tp, None)
     i = tp.first
-    fals = inst.falsified_clauses(i, x, limit=2)
-    if not fals:
-        return FullSignature(tp, ClausePattern("all_one"))
-    if len(fals) == 1:
-        a = inst.dictator(i, fals[0]).value_at(x)
-        return FullSignature(tp, ClausePattern("unique", fals[0]), a)
-    a = inst.dictator(i, fals[0]).value_at(x)
-    b = inst.dictator(i, fals[1]).value_at(x)
-    return FullSignature(tp, ClausePattern("multi", fals[0], fals[1]), a, b)
+    cp = ClausePattern.of(inst.falsified_clauses(i, x, limit=2))
+    a = None if cp.first is None else inst.dictator(i, cp.first).value_at(x)
+    b = None if cp.second is None else inst.dictator(i, cp.second).value_at(x)
+    return FullSignature(tp, cp, a, b)
 
 
 def value_from_mono_signature(weight_class: str, sig: FullSignature | None) -> int:
@@ -279,16 +271,10 @@ def unate_signature(inst: UnateInstance, x: BitString) -> UnateSignature:
             f"[{inst.band_low:.2f}, {inst.band_high:.2f}] after orientation; "
             "the signature oracle only answers in-band queries"
         )
-    tp = _term_pattern(inst.satisfied_terms_base(y, limit=2))
-    if tp.kind == "none":
-        return UnateSignature(tp)
-    if tp.kind == "unique":
-        return UnateSignature(tp, inst.dictator(tp.first).value_at(y))
-    return UnateSignature(
-        tp,
-        inst.dictator(tp.first).value_at(y),
-        inst.dictator(tp.second).value_at(y),
-    )
+    tp = TermPattern.of(inst.satisfied_terms_base(y, limit=2))
+    a = None if tp.first is None else inst.dictator(tp.first).value_at(y)
+    b = None if tp.second is None else inst.dictator(tp.second).value_at(y)
+    return UnateSignature(tp, a, b)
 
 
 # a one-level instance is the single-level core with M = [n] and zero

@@ -190,10 +190,6 @@ def _reject(
     return Verdict("reject", witness, oracle.queries_used, stages, seed)
 
 
-def _random_point(n: int, rng: RngStream) -> BitString:
-    return BitString.random(n, rng)
-
-
 def _random_weight_window(n: int, rng: RngStream, lo: float, hi: float) -> BitString:
     """Uniform point conditioned on a weight window (rejection; no queries)."""
     while True:
@@ -220,7 +216,7 @@ def edge_tester(fn: Callable[[BitString], int], n: int, cfg: TesterConfig) -> Ve
     try:
         for _ in range(cfg.q // 2):
             stages["rounds"] += 1
-            x = _random_point(n, rng)
+            x = BitString.random(n, rng)
             i = rng.randint0(n)
             y = x.flip_one(i)
             lower, upper = (x, y) if x[i] == 0 else (y, x)

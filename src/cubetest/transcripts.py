@@ -10,11 +10,14 @@ the *induced tuple* it determines:
   term (and, two-level, to falsify / satisfy each tracked clause);
 * ``A`` -- coordinates on which all members of a ``P`` set agree, split by
   the common value;
-* ``rho`` -- the observed dictator values per tracked cell.
+* ``rho`` -- the observed dictator values per tracked cell (two-level)
+  or term (single-level).
 
 Transcripts are single-owner mutable values: ``extend`` updates the tuple
-incrementally, and ``induced_*_tuple`` recomputes the same data from
-scratch straight off the definitions, as an independent cross-check.
+incrementally (one update of a tracked key, ``_Transcript._track``, serves
+the terms of both kinds and the cells of the two-level kind), and
+``induced_*_tuple`` recomputes the same data from scratch straight off the
+definitions, as an independent cross-check.
 
 The module also houses the bad-edge classifiers, the balance check for
 unateness trees, breach bookkeeping with special-variable revelation, and
@@ -23,6 +26,7 @@ the good/bad outcome test for non-adaptive single-level transcripts.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -155,118 +159,141 @@ class EdgeClass:
 
 
 # ---------------------------------------------------------------------------
-# Two-level transcripts
+# What both transcript kinds share
 # ---------------------------------------------------------------------------
 
 
-class MonoTranscript:
-    """Ordered full-signature transcript with its induced tuple."""
+def _outside_term(sig, i: int) -> bool:
+    """The query is known not to satisfy term ``i``."""
+    return sig.term.entry(i) == 0
+
+
+def _outside_cell(sig: FullSignature, cell: tuple[int, int]) -> bool:
+    """The query is routed to term ``i`` and known to satisfy clause ``j``."""
+    i, j = cell
+    return sig.term.kind == "unique" and sig.term.first == i and sig.clause.entry(j) == 1
+
+
+class _Transcript:
+    """Term-level fields and updates of both transcript kinds; ``rho`` is
+    keyed by cell (two level) or term (single level)."""
 
     def __init__(self, n: int):
         self.n = n
-        self.queries: list[tuple[BitString, FullSignature]] = []
+        self.queries: list[tuple[BitString, FullSignature | UnateSignature]] = []
         self.I: set[int] = set()
-        self.J: dict[int, set[int]] = {}
         self.P: dict[int, list[int]] = {}
         self.R: dict[int, list[int]] = {}
-        self.Pij: dict[tuple[int, int], list[int]] = {}
-        self.Rij: dict[tuple[int, int], list[int]] = {}
         self.A1: dict[int, set[int]] = {}
         self.A0: dict[int, set[int]] = {}
-        self.Aij1: dict[tuple[int, int], set[int]] = {}
-        self.Aij0: dict[tuple[int, int], set[int]] = {}
-        self.rho: dict[tuple[int, int], dict[int, int]] = {}
+        self.rho: dict = {}
         self.bad_edge: Optional[EdgeClass] = None
         self.edge_classes: list[Optional[EdgeClass]] = []
 
     def __len__(self) -> int:
         return len(self.queries)
 
-    def _tuple_sizes(self) -> dict:
-        return {
-            "queries": len(self.queries),
-            "I": len(self.I),
-            "P": {str(i): len(v) for i, v in sorted(self.P.items())},
-            "Pij": {f"{i},{j}": len(v) for (i, j), v in sorted(self.Pij.items())},
-        }
+    def _track(self, P: dict, R: dict, A1: dict, A0: dict, keys: Iterable,
+               outside: Callable, ones: set[int], zeros: set[int]) -> list:
+        """Add the newest query to ``P`` of each of ``keys`` (the terms or
+        cells it is a member of) and narrow their ``A1``/``A0`` to its
+        ``ones``/``zeros``; a new key's ``R`` starts with the earlier queries
+        that ``outside(sig, key)`` puts outside it.  Returns the new keys."""
+        qidx = len(self.queries) - 1
+        new = []
+        for key in keys:
+            if key in P:
+                P[key].append(qidx)
+                A1[key] &= ones
+                A0[key] &= zeros
+            else:
+                new.append(key)
+                P[key] = [qidx]
+                A1[key] = set(ones)
+                A0[key] = set(zeros)
+                R[key] = [q for q, (_, s) in enumerate(self.queries[:qidx]) if outside(s, key)]
+        return new
 
-    def dump_jsonl(self) -> str:
-        """One JSON record per query: point, signature, cumulative tuple
-        sizes, and the recorded edge class (when a classifier was run)."""
-        import json as _json
-
-        lines = []
-        probe = MonoTranscript(self.n)
-        for q, (x, sig) in enumerate(self.queries):
-            probe.extend(x, sig)
-            rec = {
-                "x": x.to_json(),
-                "signature": sig.to_json(),
-                "sizes": probe._tuple_sizes(),
-            }
-            if q < len(self.edge_classes) and self.edge_classes[q] is not None:
-                e = self.edge_classes[q]
-                rec["edge_class"] = {"kind": e.kind, "i": e.i, "j": e.j}
-            lines.append(_json.dumps(rec, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def extend(self, x: BitString, sig: FullSignature) -> None:
-        """Append one (query, signature) pair and update the tuple."""
+    def _extend_terms(self, x: BitString, sig, sig_type: type) -> tuple[list, set, set]:
+        """Append one (query, signature) pair and update the term level,
+        ``R`` included; returns the new terms and the query's ones/zeros."""
         if x.n != self.n:
             raise ValueError(f"query has n={x.n}, transcript has n={self.n}")
-        if not isinstance(sig, FullSignature):
-            raise ValueError(f"expected a FullSignature, got {type(sig).__name__}")
-        qidx = len(self.queries)
+        if not isinstance(sig, sig_type):
+            raise ValueError(f"expected a {sig_type.__name__}, got {type(sig).__name__}")
         self.queries.append((x, sig))
         ones = set(x.one_indices())
         zeros = set(x.zero_indices())
-
-        for i in sig.term.members():
-            if i not in self.I:
-                self.I.add(i)
-                self.J[i] = set()
-                self.P[i] = [qidx]
-                self.A1[i] = set(ones)
-                self.A0[i] = set(zeros)
-                self.R[i] = [
-                    q
-                    for q, (_, s) in enumerate(self.queries[:qidx])
-                    if s.term.entry(i) == 0
-                ]
-            else:
-                self.P[i].append(qidx)
-                self.A1[i] &= ones
-                self.A0[i] &= zeros
+        new = self._track(self.P, self.R, self.A1, self.A0, sig.term.members(), _outside_term,
+                          ones, zeros)
+        self.I.update(new)
+        qidx = len(self.queries) - 1
         for i in self.I:
             if sig.term.entry(i) == 0:
                 self.R[i].append(qidx)
+        return new, ones, zeros
 
+    def dump_jsonl(self) -> str:
+        """One JSON record per query: point, signature, the cumulative
+        tuple sizes (and breach revelations) of ``_record``, and the
+        recorded edge class (when a classifier was run)."""
+        lines = []
+        for q, (x, sig) in enumerate(self.queries):
+            rec = {"x": x.to_json(), "signature": sig.to_json(), **self._record(q)}
+            if q < len(self.edge_classes) and self.edge_classes[q] is not None:
+                e = self.edge_classes[q]
+                rec["edge_class"] = {"kind": e.kind, "i": e.i, "j": e.j}
+            lines.append(json.dumps(rec, sort_keys=True))
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# Two-level transcripts
+# ---------------------------------------------------------------------------
+
+
+class MonoTranscript(_Transcript):
+    """Ordered full-signature transcript with its induced tuple."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.J: dict[int, set[int]] = {}
+        self.Pij: dict[tuple[int, int], list[int]] = {}
+        self.Rij: dict[tuple[int, int], list[int]] = {}
+        self.Aij1: dict[tuple[int, int], set[int]] = {}
+        self.Aij0: dict[tuple[int, int], set[int]] = {}
+
+    def _record(self, q: int) -> dict:
+        def upto(tracked: dict) -> dict:
+            # P lists grow in query order: their prefixes up to q are the tuple after q
+            return {k: sum(p <= q for p in v) for k, v in tracked.items() if v[0] <= q}
+
+        p = upto(self.P)
+        return {"sizes": {
+            "queries": q + 1,
+            "I": len(p),
+            "P": {str(i): c for i, c in p.items()},
+            "Pij": {f"{i},{j}": c for (i, j), c in upto(self.Pij).items()},
+        }}
+
+    def extend(self, x: BitString, sig: FullSignature) -> None:
+        """Append one (query, signature) pair and update the tuple."""
+        new, ones, zeros = self._extend_terms(x, sig, FullSignature)
+        for i in new:
+            self.J[i] = set()
         if sig.term.kind != "unique":
             return
         i = sig.term.first
-        for j in sig.clause.zero_members():
-            value = sig.a if j == sig.clause.first else sig.b
-            if (i, j) not in self.Pij:
-                self.J[i].add(j)
-                self.Pij[(i, j)] = [qidx]
-                self.Aij1[(i, j)] = set(ones)
-                self.Aij0[(i, j)] = set(zeros)
-                self.rho[(i, j)] = {qidx: value}
-                self.Rij[(i, j)] = [
-                    q
-                    for q, (_, s) in enumerate(self.queries[:qidx])
-                    if s.term.kind == "unique"
-                    and s.term.first == i
-                    and s.clause.entry(j) == 1
-                ]
-            else:
-                self.Pij[(i, j)].append(qidx)
-                self.Aij1[(i, j)] &= ones
-                self.Aij0[(i, j)] &= zeros
-                self.rho[(i, j)][qidx] = value
-        for (i2, j2) in self.Pij:
-            if i2 == i and sig.clause.entry(j2) == 1:
-                self.Rij[(i2, j2)].append(qidx)
+        qidx = len(self.queries) - 1
+        cells = [(i, j) for j in sig.clause.zero_members()]
+        for _, j in self._track(self.Pij, self.Rij, self.Aij1, self.Aij0, cells, _outside_cell,
+                                ones, zeros):
+            self.J[i].add(j)
+        for j in self.J[i]:
+            if sig.clause.entry(j) == 1:
+                self.Rij[(i, j)].append(qidx)
+        for cell in cells:
+            self.rho.setdefault(cell, {})[qidx] = sig.value_for(cell[1])
 
     def check_axioms(self) -> list[str]:
         """Structural facts every induced tuple must satisfy.
@@ -370,9 +397,7 @@ def induced_mono_tuple(queries: list[tuple[BitString, FullSignature]]) -> MonoTr
             t.rho[(i, j)] = {}
             for q in t.Pij[(i, j)]:
                 sig = members[q][2]
-                t.rho[(i, j)][q] = (
-                    sig.a if j == sig.clause.first else sig.b
-                )
+                t.rho[(i, j)][q] = sig.value_for(j)
     return t
 
 
@@ -424,14 +449,12 @@ def classify_mono_edge(
     kinds = {e.kind for e in found}
     if "E2" not in kinds:
         for (i, j) in cells:
-            value = sig.a if j == sig.clause.first else sig.b
-            if consistency_status(t, i, j) == "zero_consistent" and value == 1:
+            if consistency_status(t, i, j) == "zero_consistent" and sig.value_for(j) == 1:
                 found.append(EdgeClass("E3", i, j))
                 break
     if not kinds & {"E1", "E2"}:
         for (i, j) in cells:
-            value = sig.a if j == sig.clause.first else sig.b
-            if consistency_status(t, i, j) == "one_consistent" and value == 0:
+            if consistency_status(t, i, j) == "one_consistent" and sig.value_for(j) == 0:
                 found.append(EdgeClass("E4", i, j))
                 break
     if not found:
@@ -448,57 +471,20 @@ def classify_mono_edge(
 # ---------------------------------------------------------------------------
 
 
-class SingleLevelTranscript:
+class SingleLevelTranscript(_Transcript):
     """Signature transcript for the single-level families."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.queries: list[tuple[BitString, UnateSignature]] = []
-        self.I: set[int] = set()
-        self.P: dict[int, list[int]] = {}
-        self.R: dict[int, list[int]] = {}
-        self.A1: dict[int, set[int]] = {}
-        self.A0: dict[int, set[int]] = {}
-        self.rho: dict[int, dict[int, int]] = {}
-        self.bad_edge: Optional[EdgeClass] = None
-        self.edge_classes: list[Optional[EdgeClass]] = []
-
-    def __len__(self) -> int:
-        return len(self.queries)
+    def _record(self, q: int) -> dict:
+        return {"sizes": {"queries": q + 1, "I": sum(1 for i in self.I if self.P[i][0] <= q)}}
 
     def common_coords(self, i: int) -> set[int]:
         """A_i: coordinates where all members of P_i agree (either value)."""
         return self.A1[i] | self.A0[i]
 
     def extend(self, x: BitString, sig: UnateSignature) -> None:
-        if x.n != self.n:
-            raise ValueError(f"query has n={x.n}, transcript has n={self.n}")
-        if not isinstance(sig, UnateSignature):
-            raise ValueError(f"expected a UnateSignature, got {type(sig).__name__}")
-        qidx = len(self.queries)
-        self.queries.append((x, sig))
-        ones = set(x.one_indices())
-        zeros = set(x.zero_indices())
+        self._extend_terms(x, sig, UnateSignature)
         for i in sig.term.members():
-            if i not in self.I:
-                self.I.add(i)
-                self.P[i] = [qidx]
-                self.A1[i] = set(ones)
-                self.A0[i] = set(zeros)
-                self.rho[i] = {qidx: sig.value_for(i)}
-                self.R[i] = [
-                    q
-                    for q, (_, s) in enumerate(self.queries[:qidx])
-                    if s.term.entry(i) == 0
-                ]
-            else:
-                self.P[i].append(qidx)
-                self.A1[i] &= ones
-                self.A0[i] &= zeros
-                self.rho[i][qidx] = sig.value_for(i)
-        for i in self.I:
-            if sig.term.entry(i) == 0:
-                self.R[i].append(qidx)
+            self.rho.setdefault(i, {})[len(self.queries) - 1] = sig.value_for(i)
 
 
 def induced_single_level_tuple(
@@ -594,33 +580,14 @@ class UnateTranscript(SingleLevelTranscript):
         self.breach_events.append(dict(newly))
         return newly
 
-    def dump_jsonl(self) -> str:
-        """One JSON record per query: point, signature, cumulative tuple
-        sizes, breach revelations, and any recorded edge class."""
-        import json as _json
-
-        lines = []
-        for q, (x, sig) in enumerate(self.queries):
-            rec = {
-                "x": x.to_json(),
-                "signature": sig.to_json(),
-                "sizes": {
-                    "queries": q + 1,
-                    "I": sum(1 for i in self.I if self.P[i][0] <= q),
-                    "breached": sum(
-                        1 for ev in self.breach_events[: q + 1] for _ in ev
-                    ),
-                },
+    def _record(self, q: int) -> dict:
+        rec = super()._record(q)
+        rec["sizes"]["breached"] = sum(len(ev) for ev in self.breach_events[: q + 1])
+        if q < len(self.breach_events) and self.breach_events[q]:
+            rec["breach_events"] = {
+                str(i): k for i, k in sorted(self.breach_events[q].items())
             }
-            if q < len(self.breach_events) and self.breach_events[q]:
-                rec["breach_events"] = {
-                    str(i): k for i, k in sorted(self.breach_events[q].items())
-                }
-            if q < len(self.edge_classes) and self.edge_classes[q] is not None:
-                e = self.edge_classes[q]
-                rec["edge_class"] = {"kind": e.kind, "i": e.i, "j": e.j}
-            lines.append(_json.dumps(rec, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return rec
 
 
 def breached_terms(t: UnateTranscript) -> tuple[frozenset, frozenset]:

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from cubetest import cli, transcripts
 from cubetest.cli import main
+from cubetest.core import BitString, RngStream
+from cubetest.families import instance_from_json
 from cubetest.experiments import (
     ExperimentConfig,
     run_experiment,
@@ -77,6 +80,43 @@ class TestEval:
         with pytest.raises(SystemExit) as e:
             run_cli("eval", "--instance", str(inst_file))
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("family", ["mono", "unate"])
+    def test_transcript_out_signs_each_point_once(
+        self, family, tmp_path, capsys, monkeypatch
+    ):
+        inst_file = tmp_path / "inst.json"
+        run_cli("sample", "--family", family, "--n", "16", "--world", "no",
+                "--seed", "5", "--out", str(inst_file))
+        inst = instance_from_json(json.loads(inst_file.read_text()))
+        rng = RngStream(11, "in-band")
+        points = []
+        while len(points) < 5:
+            x = BitString.random(16, rng)
+            if family == "mono":
+                band = inst.weight_class(x)
+            else:
+                band = inst.band_class_base(x.xor(inst.orientation))
+            if band == "middle":
+                points.append(x)
+        calls = []
+        name = "mono_full_signature" if family == "mono" else "unate_signature"
+        for module in (cli, transcripts):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(
+                    module, name,
+                    lambda inst, x, real=real: calls.append(x) or real(inst, x),
+                )
+        args = [a for x in points for a in ("--x", x.to_hex())]
+        dump = tmp_path / "t.jsonl"
+        assert run_cli("eval", "--instance", str(inst_file), *args,
+                       "--transcript-out", str(dump)) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(calls) == len(points)
+        assert len(dump.read_text().splitlines()) == len(points)
+        for rec in recs:
+            assert rec["signature"]["value_from_signature"] == rec["value"]
 
 
 class TestAttack:
@@ -190,6 +230,21 @@ class TestTranscriptOut:
             rec = json.loads(lines[0])
             assert {"x", "signature", "sizes"} <= set(rec)
 
+    def test_eval_writes_onelevel_jsonl(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        run_cli("sample", "--family", "onelevel", "--n", "16", "--world", "no",
+                "--seed", "2", "--out", str(inst))
+        dump = tmp_path / "t.jsonl"
+        # all-ones on the low half: weight 8, the band centre
+        assert run_cli(
+            "eval", "--instance", str(inst), "--x", "00ff", "--x", "0ff0",
+            "--transcript-out", str(dump),
+        ) == 0
+        capsys.readouterr()
+        recs = [json.loads(line) for line in dump.read_text().splitlines()]
+        assert [r["sizes"]["queries"] for r in recs] == [1, 2]
+        assert set(recs[0]["sizes"]) == {"queries", "I"}
+
 
 class TestErrorRows:
     def test_partial_failures_recorded(self):
@@ -203,3 +258,30 @@ class TestErrorRows:
         good = [r for r in rows if not r.metric.startswith("error:")]
         assert len(errors) == 2 and all(r.n == 15 for r in errors)
         assert len(good) == 2 and all(r.n == 16 for r in good)
+
+    def cfg_json(self) -> dict:
+        return ExperimentConfig(
+            experiment="unate-check", family="unate", n=[15, 16],
+            worlds=["yes"], seeds=[0, 1],
+        ).to_json()
+
+    def test_experiment_exits_1_and_names_failed_seeds(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(self.cfg_json()))
+        code = run_cli(
+            "experiment", "--config", str(cfg_file), "--out", str(tmp_path / "res")
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        target = Path(captured.out.strip().split()[-1])
+        assert len((target / "rows.csv").read_text().splitlines()) == 5
+        failed = captured.err.splitlines()
+        assert len(failed) == 2
+        assert all("n=15 world=yes" in line and "error:" in line for line in failed)
+
+    def test_verify_rejects_error_rows(self, tmp_path, capsys):
+        cfg = ExperimentConfig.from_json(self.cfg_json())
+        target = write_results(cfg, run_experiment(cfg), tmp_path)
+        ok, msg = verify_results(target)
+        assert not ok and "failed seeds" in msg
+        assert run_cli("verify", "--results", str(target)) == 1

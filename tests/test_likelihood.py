@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -203,3 +204,40 @@ class TestUnateLikelihood:
         oracle = self.grow(inst, 8, 7)
         out = unate_transcript_likelihood(other, oracle.transcript, mode="exhaustive")
         assert out.p_yes == 0.0 and out.p_no == 0.0
+
+
+class TestPinnedLeafLikelihoods:
+    """Pinned blake2b digest of the reprs (and error messages) of the four
+    leaf likelihoods, closed form and brute force at two levels and one, at
+    fixed seeds, on the transcript's own instance and a mismatched one."""
+
+    def test_reprs_pinned(self):
+        out = []
+        for seed in range(12):
+            world = "no" if seed % 2 else "yes"
+            rng = RngStream(seed, "pinned-leaf")
+            inst = toy_mono(world, seed)
+            t = grow_mono_transcript(inst, 2 + seed % 5, rng)
+            one = OneLevelInstance.sample(16, world, seed=seed)
+            oracle = OneLevelSignatureOracle(one)
+            ts = SingleLevelTranscript(16)
+            for _ in range(1 + seed % 4):
+                x = random_middle(one, rng)
+                ts.extend(x, oracle.query(x))
+            for fn, args in (
+                (mono_leaf_likelihood, (inst, t)),
+                (mono_leaf_likelihood_bruteforce, (inst, t)),
+                (mono_leaf_likelihood, (toy_mono(world, seed + 100), t)),
+                (onelevel_outcome_likelihood, (one, ts)),
+                (onelevel_outcome_likelihood_bruteforce, (one, ts)),
+                (onelevel_outcome_likelihood,
+                 (OneLevelInstance.sample(16, world, seed=seed + 100), ts)),
+            ):
+                try:
+                    out.append(repr(fn(*args)))
+                except ValueError as e:
+                    out.append(f"ValueError: {e}")
+        assert any("inconsistent" in line for line in out)
+        assert sum("p_yes=0.0, p_no=0.0" not in line for line in out) > 30
+        digest = hashlib.blake2b("\n".join(out).encode(), digest_size=16).hexdigest()
+        assert digest == "14202720e0db27b822d4fd7ddd054c05"

@@ -45,6 +45,14 @@ class TestPatternEntries:
         q = ClausePattern("unique", 2)
         assert q.entry(2) == 0 and q.entry(9) == 1
 
+    def test_of_builds_from_hits(self):
+        assert TermPattern.of([]) == TermPattern("none")
+        assert ClausePattern.of([]) == ClausePattern("all_one")
+        assert TermPattern.of([3]) == TermPattern("unique", 3)
+        assert ClausePattern.of([2, 5]) == ClausePattern("multi", 2, 5)
+        assert TermPattern.of([2, 5]) != ClausePattern.of([2, 5])
+        assert ClausePattern.of([2, 5]).zero_members() == (2, 5)
+
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             TermPattern("multi", 5, 2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from cubetest.core import BitString, RngStream
@@ -137,6 +139,14 @@ class TestConsistency:
         assert consistency_status(t, 2, 1) == "inconsistent"
         with pytest.raises(KeyError):
             consistency_status(t, 2, 9)
+
+    def test_value_for_rejects_unrecorded_clause(self):
+        sig = full_sig(TermPattern("unique", 2), ClausePattern("multi", 1, 4), 0, 1)
+        assert (sig.value_for(1), sig.value_for(4)) == (0, 1)
+        with pytest.raises(KeyError):
+            sig.value_for(3)
+        with pytest.raises(KeyError):
+            full_sig(TermPattern("multi", 1, 5), None).value_for(1)
 
 
 class TestMonoClassifier:
@@ -528,3 +538,50 @@ class TestTranscriptDump:
         assert len(lines) == 2
         assert "breach_events" not in lines[0]
         assert lines[1]["breach_events"] == {"0": 8}
+
+
+class TestPinnedDumps:
+    """Pinned blake2b digests of ``dump_jsonl`` bytes: restructuring the
+    transcript code must not move a byte of them."""
+
+    def test_mono_dump_with_edge_classes(self):
+        h = hashlib.blake2b(digest_size=16)
+        classes = 0
+        for seed in range(6):
+            inst = MonoInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            rng = RngStream(seed, "pinned-mono-dump")
+            cfg = ClassifierConfig(16, mono_drop_threshold=3 + seed % 3)
+            t = MonoTranscript(16)
+            for _ in range(25):
+                x = random_middle(inst, rng)
+                sig = mono_full_signature(inst, x)
+                edge = classify_mono_edge(t, x, sig, cfg)
+                t.edge_classes.append(edge or None)
+                if edge and t.bad_edge is None:
+                    t.bad_edge = edge
+                t.extend(x, sig)
+            classes += sum(e is not None for e in t.edge_classes)
+            h.update(t.dump_jsonl().encode())
+        assert classes > 0
+        assert h.hexdigest() == "dba1aad8582f9406930ccdd2c00fdc4f"
+
+    def test_unate_dump_with_breaches(self):
+        h = hashlib.blake2b(digest_size=16)
+        breaches = 0
+        for seed in range(6):
+            inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            oracle = UnateSignatureOracle(inst)
+            rng = RngStream(seed, "pinned-unate-dump")
+            cfg = ClassifierConfig(16, unate_drop_threshold=4, breach_count_cap=2)
+            for _ in range(40):
+                x = BitString.random(16, rng)
+                try:
+                    edge = oracle.classify_next(x, cfg)
+                except OutOfBandError:
+                    continue
+                oracle.transcript.edge_classes.append(edge or None)
+                oracle.query(x)
+            breaches += len(oracle.transcript.I_B)
+            h.update(oracle.transcript.dump_jsonl().encode())
+        assert breaches > 0
+        assert h.hexdigest() == "ec53c1df02b1fb3fb30187a386f8d8b2"
