@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import BitString, RngStream
@@ -155,12 +156,9 @@ def _cmd_attack(args, parser) -> int:
 def _cmd_distance(args, parser) -> int:
     inst = _load_instance(args.instance)
     out: dict = {"mode": args.mode}
-    if args.mode == "exact-mono":
-        d = exact_dist_mono(inst.truth_table(), cap=args.cap)
-        out["distance"] = str(d)
-        out["distance_float"] = float(d)
-    elif args.mode == "exact-unate":
-        d = exact_dist_unate(inst.truth_table(), cap=args.cap)
+    if args.mode in ("exact-mono", "exact-unate"):
+        exact = exact_dist_mono if args.mode == "exact-mono" else exact_dist_unate
+        d = exact(inst.truth_table(), cap=args.cap)
         out["distance"] = str(d)
         out["distance_float"] = float(d)
     elif args.mode == "lower-bound":
@@ -189,13 +187,9 @@ def _cmd_experiment(args, parser) -> int:
         target = write_results(cfg, rows, cfg.out)
         sys.stdout.write(f"wrote {len(rows)} rows to {target}\n")
     elif cfg.format == "json":
+        # every field but wall time, the one volatile one
         payload = [
-            {
-                "experiment": r.experiment, "seed": r.seed, "n": r.n,
-                "world": r.world, "metric": r.metric, "value": r.value,
-                "ci": r.ci, "queries": r.queries,
-            }
-            for r in rows
+            {k: v for k, v in asdict(r).items() if k != "wall_time_s"} for r in rows
         ]
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:

@@ -377,12 +377,6 @@ class RngStream:
             j = self.randint0(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def numpy_generator(self) -> np.random.Generator:
-        """Bulk-sampling companion keyed by the same identity."""
-        return derive_generator(
-            self.master_seed, "np", self.domain_tag, *self.counters
-        )
-
     def __repr__(self) -> str:
         return (
             f"RngStream(seed={self.master_seed}, tag={self.domain_tag!r}, "

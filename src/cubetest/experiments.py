@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -35,11 +35,11 @@ from .distance import (
     witness_edge_family,
 )
 from .families import (
-    FlippedDnfInstance,
+    _FAMILIES,
     QuadrantInstance,
     MonoInstance,
-    OneLevelInstance,
     UnateInstance,
+    _is_square,
 )
 from .likelihood import (
     mono_leaf_likelihood,
@@ -117,22 +117,7 @@ class ExperimentConfig:
         return cls(seeds=[int(s) for s in seeds], **kwargs)
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "family": self.family,
-            "n": list(self.n),
-            "worlds": list(self.worlds),
-            "seeds": list(self.seeds),
-            "samples": self.samples,
-            "budget": self.budget,
-            "alpha": self.alpha,
-            "tester": self.tester,
-            "stage_overrides": dict(self.stage_overrides),
-            "queries_per_transcript": self.queries_per_transcript,
-            "threads": self.threads,
-            "out": self.out,
-            "format": self.format,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         obj = {k: v for k, v in self.to_json().items() if k not in _HASH_EXCLUDED}
@@ -157,17 +142,12 @@ class ResultRow:
 
 
 def _sample_instance(family: str, n: int, world: str, seed: int):
-    fams = {
-        "mono": MonoInstance.sample,
-        "flipdnf": FlippedDnfInstance.sample,
-        "onelevel": OneLevelInstance.sample,
-        "unate": UnateInstance.sample,
-    }
-    if family == "quadrant":
-        return QuadrantInstance.sample(n, seed)
-    if family == "mono" and not math.isqrt(n) ** 2 == n:
-        return MonoInstance.sample(n, world, seed, term_len=round(math.sqrt(n)))
-    return fams[family](n, world, seed)
+    cls = _FAMILIES[family]
+    if cls is QuadrantInstance:
+        return cls.sample(n, seed)
+    if cls is MonoInstance and not _is_square(n):
+        return cls.sample(n, world, seed, term_len=round(math.sqrt(n)))
+    return cls.sample(n, world, seed)
 
 
 def _pmap(threads: int, fn: Callable, tasks: list) -> list:
@@ -178,38 +158,25 @@ def _pmap(threads: int, fn: Callable, tasks: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies (one task = one seed)
+# Experiment bodies (one call = one seed)
+#
+# A body takes (cfg, n, world, seed) and returns its metrics as tuples
+# (metric, value[, ci[, queries]]); _run_task turns them into rows.
 # ---------------------------------------------------------------------------
 
 
-def _monotone_check_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _monotone_check_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = _sample_instance(cfg.family or "mono", n, world, seed)
-    table = inst.truth_table()
-    viol = count_violating_edges(table, n)
-    dt = time.perf_counter() - t0
-    return [ResultRow(cfg.experiment, seed, n, world, "violating_edges", viol, 0, 0, dt)]
+    return [("violating_edges", count_violating_edges(inst.truth_table(), n))]
 
 
-def _unate_check_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _unate_check_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = UnateInstance.sample(n, world, seed)
     table = inst.base_truth_table()
-    viol = count_violating_edges(table, n)
-    dt = time.perf_counter() - t0
-    return [
-        ResultRow(cfg.experiment, seed, n, world, "deoriented_violating_edges", viol, 0, 0, dt)
-    ]
+    return [("deoriented_violating_edges", count_violating_edges(table, n))]
 
 
-def _signature_soundness_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _signature_soundness_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     family = cfg.family or "mono"
     inst = _sample_instance(family, n, world, seed)
     rng = RngStream(seed, f"soundness-{family}")
@@ -228,16 +195,10 @@ def _signature_soundness_task(args) -> list[ResultRow]:
         checked += 1
         if got != inst.value(x):
             mismatches += 1
-    dt = time.perf_counter() - t0
-    return [
-        ResultRow(cfg.experiment, seed, n, world, "mismatches", mismatches, 0, checked, dt)
-    ]
+    return [("mismatches", mismatches, 0, checked)]
 
 
-def _tuple_axioms_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _tuple_axioms_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = MonoInstance.sample(n, world, seed)
     rng = RngStream(seed, "axioms")
     t = MonoTranscript(n)
@@ -245,13 +206,7 @@ def _tuple_axioms_task(args) -> list[ResultRow]:
         x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
         t.extend(x, mono_full_signature(inst, x))
     violations = len(t.check_axioms()) + len(t.cross_check_instance(inst))
-    dt = time.perf_counter() - t0
-    return [
-        ResultRow(
-            cfg.experiment, seed, n, world, "axiom_violations", violations,
-            0, len(t.queries), dt,
-        )
-    ]
+    return [("axiom_violations", violations, 0, len(t.queries))]
 
 
 def _toy_mono_instance(n: int, world: str, seed: int, n_terms: int = 4) -> MonoInstance:
@@ -266,10 +221,7 @@ def _toy_mono_instance(n: int, world: str, seed: int, n_terms: int = 4) -> MonoI
     return MonoInstance.from_parts(n, world, terms, clauses, dicts)
 
 
-def _likelihood_equivalence_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _likelihood_equivalence_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     rng = RngStream(seed, "likelihood")
     worst = 0.0
 
@@ -302,31 +254,20 @@ def _likelihood_equivalence_task(args) -> list[ResultRow]:
     for a, b in ((closed.p_yes, brute.p_yes), (closed.p_no, brute.p_no)):
         if a != 0 or b != 0:
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    dt = time.perf_counter() - t0
-    return [ResultRow(cfg.experiment, seed, n, world, "max_rel_err", worst, 0, 0, dt)]
+    return [("max_rel_err", worst)]
 
 
-def _witness_density_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _witness_density_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = MonoInstance.sample(n, "no", seed)
     exact = exhaustive_witness_density(inst)
     est = estimate_witness_density(inst, cfg.samples, RngStream(seed, "witness-mc"))
-    dt = time.perf_counter() - t0
     return [
-        ResultRow(cfg.experiment, seed, n, "no", "exhaustive_pr", exact, 0, 0, dt),
-        ResultRow(
-            cfg.experiment, seed, n, "no", "mc_pr", est.estimate,
-            est.ci_halfwidth, cfg.samples, dt,
-        ),
+        ("exhaustive_pr", exact),
+        ("mc_pr", est.estimate, est.ci_halfwidth, cfg.samples),
     ]
 
 
-def _farness_consistency_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _farness_consistency_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = _sample_instance("mono", n, "no", seed)
     fam = witness_edge_family(inst)
     used = set()
@@ -336,29 +277,19 @@ def _farness_consistency_task(args) -> list[ResultRow]:
         used.add(y.bits)
     density = len(fam) / (1 << n)
     dist = float(exact_dist_mono(inst.truth_table(), n, cap=max(n, 14)))
-    dt = time.perf_counter() - t0
     return [
-        ResultRow(cfg.experiment, seed, n, "no", "family_density", density, 0, 0, dt),
-        ResultRow(cfg.experiment, seed, n, "no", "exact_dist", dist, 0, 0, dt),
-        ResultRow(
-            cfg.experiment, seed, n, "no", "lower_bound_ok",
-            float(density <= dist), 0, 0, dt,
-        ),
+        ("family_density", density),
+        ("exact_dist", dist),
+        ("lower_bound_ok", float(density <= dist)),
     ]
 
 
-def _quadrant_farness_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _quadrant_farness_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = QuadrantInstance(n, seed)  # seed doubles as the special index
     table = inst.truth_table()
-    lb = float(unate_dist_lower_bound(table))
-    dist = float(exact_dist_unate(table, cap=n + 2))
-    dt = time.perf_counter() - t0
     return [
-        ResultRow(cfg.experiment, seed, n, "no", "lower_bound", lb, 0, 0, dt),
-        ResultRow(cfg.experiment, seed, n, "no", "exact_dist_unate", dist, 0, 0, dt),
+        ("lower_bound", float(unate_dist_lower_bound(table))),
+        ("exact_dist_unate", float(exact_dist_unate(table, cap=n + 2))),
     ]
 
 
@@ -370,10 +301,7 @@ _ATTACKS = {
 _ATTACK_FAMILY = {"edge": "mono", "flipdnf": "flipdnf", "two-level": "mono"}
 
 
-def _attack_rates_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _attack_rates_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     tester = cfg.tester or "edge"
     family = cfg.family or _ATTACK_FAMILY[tester]
     inst = _sample_instance(family, n, world, seed)
@@ -389,23 +317,13 @@ def _attack_rates_task(args) -> list[ResultRow]:
             and inst.value(w.lower) == 1
             and inst.value(w.upper) == 0
         )
-    dt = time.perf_counter() - t0
     return [
-        ResultRow(
-            cfg.experiment, seed, n, world, "reject",
-            float(verdict.decision == "reject"), 0, verdict.queries_used, dt,
-        ),
-        ResultRow(
-            cfg.experiment, seed, n, world, "witness_ok", witness_ok,
-            0, verdict.queries_used, dt,
-        ),
+        ("reject", float(verdict.decision == "reject"), 0, verdict.queries_used),
+        ("witness_ok", witness_ok, 0, verdict.queries_used),
     ]
 
 
-def _orientation_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _orientation_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     rng = RngStream(seed, "orientation")
     log2n = math.log2(n)
     size = max(1, math.floor(n / (log2n * log2n)))
@@ -417,17 +335,10 @@ def _orientation_task(args) -> list[ResultRow]:
         ok = float(check_orientation(points, r, n))
     except OrientationNotFoundError as e:
         tries, ok = e.tries, 0.0
-    dt = time.perf_counter() - t0
-    return [
-        ResultRow(cfg.experiment, seed, n, world, "tries", tries, 0, 0, dt),
-        ResultRow(cfg.experiment, seed, n, world, "found_and_valid", ok, 0, 0, dt),
-    ]
+    return [("tries", tries), ("found_and_valid", ok)]
 
 
-def _classifier_sanity_task(args) -> list[ResultRow]:
-    cfg_json, n, world, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    t0 = time.perf_counter()
+def _classifier_sanity_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     inst = MonoInstance.sample(n, "yes", seed)
     rng = RngStream(seed, "classifier")
     ccfg = ClassifierConfig(n, alpha=cfg.alpha)
@@ -451,11 +362,7 @@ def _classifier_sanity_task(args) -> list[ResultRow]:
         t.extend(x, sig)
     ref = induced_mono_tuple(t.queries)
     drift = 0 if (ref.rho == t.rho and ref.I == t.I) else 1
-    dt = time.perf_counter() - t0
-    return [
-        ResultRow(cfg.experiment, seed, n, world, "false_e3", false_e3, 0, len(t.queries), dt),
-        ResultRow(cfg.experiment, seed, n, world, "tuple_drift", drift, 0, 0, dt),
-    ]
+    return [("false_e3", false_e3, 0, len(t.queries)), ("tuple_drift", drift)]
 
 
 EXPERIMENTS: dict[str, Callable] = {
@@ -472,25 +379,28 @@ EXPERIMENTS: dict[str, Callable] = {
     "classifier-sanity": _classifier_sanity_task,
 }
 
+# these sample a no-world instance whatever the grid says, so their rows say "no"
+_NO_WORLD_ONLY = {"farness-estimate", "farness-consistency", "quadrant-farness"}
 
-class _GuardedTask:
-    """Per-seed failure isolation: an exception becomes an error row and
-    the rest of the grid keeps running (picklable for process pools)."""
 
-    def __init__(self, fn: Callable):
-        self.fn = fn
+def _run_task(args) -> list[ResultRow]:
+    """Run one seed of an experiment and stamp its metrics as rows.
 
-    def __call__(self, args) -> list[ResultRow]:
-        cfg_json, n, world, seed = args
-        try:
-            return self.fn(args)
-        except Exception as e:  # noqa: BLE001 - recorded, not swallowed silently
-            return [
-                ResultRow(
-                    cfg_json["experiment"], seed, n, world,
-                    f"error:{type(e).__name__}", 1.0,
-                )
-            ]
+    Each row gets the experiment, seed, n, world and the body's wall
+    time.  An exception becomes one ``error:<Type>`` row with the grid
+    world, and the rest of the grid keeps running (per-seed failure
+    isolation; module-level so process pools can pickle it).
+    """
+    cfg, n, world, seed = args
+    t0 = time.perf_counter()
+    try:
+        metrics = EXPERIMENTS[cfg.experiment](cfg, n, world, seed)
+    except Exception as e:  # noqa: BLE001 - recorded, not swallowed silently
+        return [ResultRow(cfg.experiment, seed, n, world, f"error:{type(e).__name__}", 1.0)]
+    dt = time.perf_counter() - t0
+    if cfg.experiment in _NO_WORLD_ONLY:
+        world = "no"
+    return [ResultRow(cfg.experiment, seed, n, world, *m, wall_time_s=dt) for m in metrics]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -504,16 +414,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             f"unknown experiment {cfg.experiment!r}; "
             f"known: {sorted(EXPERIMENTS)}"
         )
-    task_fn = _GuardedTask(EXPERIMENTS[cfg.experiment])
-    cfg_json = cfg.to_json()
     tasks = [
-        (cfg_json, n, world, seed)
+        (cfg, n, world, seed)
         for n in cfg.n
         for world in cfg.worlds
         for seed in cfg.seeds
     ]
     results: list[ResultRow] = []
-    for rows in _pmap(cfg.threads, task_fn, tasks):
+    for rows in _pmap(cfg.threads, _run_task, tasks):
         results.extend(rows)
     results.sort(key=ResultRow.key)
     return results

@@ -509,8 +509,7 @@ class FlippedDnfInstance:
     """Truncated random DNF; the no world is evaluated after a sparse flip.
 
     Truncation is applied to the weight of the query itself (before the
-    flip); ``truncate_after_flip=True`` toggles the alternative convention
-    for experiments.
+    flip).
     """
 
     family = "flipdnf"
@@ -523,7 +522,6 @@ class FlippedDnfInstance:
         terms: np.ndarray,
         flip_set: IndexSet,
         seed: int | None = None,
-        truncate_after_flip: bool = False,
     ):
         self.n = n
         self.world = _check_world(world)
@@ -532,7 +530,6 @@ class FlippedDnfInstance:
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
         self.flip_coords = flip_set
-        self.truncate_after_flip = truncate_after_flip
         if world == "yes" and len(flip_set) != 0:
             raise ValueError("yes world must have an empty flip set")
         sq = math.sqrt(n)
@@ -580,11 +577,9 @@ class FlippedDnfInstance:
     def value(self, x: BitString) -> int:
         if x.n != self.n:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
-        y = x.flip(self.flip_coords) if len(self.flip_coords) else x
-        w = (y if self.truncate_after_flip else x).weight
-        wc = _band_class(w, self.band_low, self.band_high)
+        wc = _band_class(x.weight, self.band_low, self.band_high)
         if wc == "middle":
-            return self.dnf_value(y)
+            return self.dnf_value(x.flip(self.flip_coords) if len(self.flip_coords) else x)
         return int(wc == "high")
 
     def truth_table(self) -> np.ndarray:
@@ -596,7 +591,7 @@ class FlippedDnfInstance:
             dnf |= X[:, self._terms[i]].all(axis=1)
         idx = np.arange(size, dtype=np.int64) ^ self.flip_coords.mask
         inner = dnf[idx]
-        w = X.sum(axis=1) if not self.truncate_after_flip else X[idx].sum(axis=1)
+        w = X.sum(axis=1)
         table = inner.astype(np.uint8)
         table[w > self.band_high] = 1
         table[w < self.band_low] = 0
@@ -612,18 +607,19 @@ class FlippedDnfInstance:
             "storage": "explicit",
             "terms": (self._terms + 1).tolist(),
             "flip_set": self.flip_coords.to_json(),
-            "truncate_after_flip": self.truncate_after_flip,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FlippedDnfInstance":
+        # older files carry this key; only its default (false) is implemented
+        if obj.get("truncate_after_flip", False):
+            raise ValueError("truncate_after_flip is no longer supported")
         return cls(
             obj["n"],
             obj["world"],
             terms=np.asarray(obj["terms"], dtype=np.int32) - 1,
             flip_set=IndexSet.from_json(obj["flip_set"]),
             seed=obj.get("seed"),
-            truncate_after_flip=obj.get("truncate_after_flip", False),
         )
 
 

@@ -193,7 +193,6 @@ def onelevel_outcome_likelihood_bruteforce(
 def _unate_setup(inst: UnateInstance, t: UnateTranscript):
     """Shared preparation: representatives, observed values, reachability."""
     n = inst.n
-    mbar = sorted(t.Mbar)
     reps: dict[int, BitString] = {}
     alphas: dict[int, int] = {}
     for i in sorted(t.I):
@@ -211,7 +210,7 @@ def _unate_setup(inst: UnateInstance, t: UnateTranscript):
                 f"breached term {i} has no consistent polarity at its special "
                 "variable; transcript unreachable in either world"
             )
-    return n, mbar, reps, alphas
+    return n, reps, alphas
 
 
 def unate_transcript_likelihood(
@@ -233,7 +232,7 @@ def unate_transcript_likelihood(
     """
     if not _single_level_patterns_match(inst, t):
         return UnateLikelihood(0.0, 0.0)
-    n, mbar, reps, alphas = _unate_setup(inst, t)
+    n, reps, alphas = _unate_setup(inst, t)
 
     p_no = (1.0 / n) ** len(t.I_B)
     for i in sorted(t.I_S):

@@ -20,6 +20,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import BitString, ResourceLimitError, RngStream
+from .distance import sample_middle_layer
 
 __all__ = [
     "BudgetExhaustedError",
@@ -190,21 +191,21 @@ def _reject(
     return Verdict("reject", witness, oracle.queries_used, stages, seed)
 
 
-def _random_weight_window(n: int, rng: RngStream, lo: float, hi: float) -> BitString:
-    """Uniform point conditioned on a weight window (rejection; no queries)."""
-    while True:
-        x = BitString.random(n, rng)
-        if lo <= x.weight <= hi:
-            return x
+def _find_seed(
+    oracle: CountingOracle, rng: RngStream, n: int, cfg: TesterConfig
+) -> Optional[BitString]:
+    """A random 1-point of the seed window, or None after ``seed_tries``.
 
-
-def _seed_window(n: int, cfg: TesterConfig) -> tuple[int, int]:
-    """Seed weights sit just above the band center: the multiplexer is
+    Seed weights sit just above the band center: the multiplexer is
     balanced there (a unique satisfied term is likeliest), while
     sqrt(n)-sized down-flips still cannot leave the middle layers."""
     lo = cfg.stage("seed_weight_low", math.ceil(n / 2))
     hi = cfg.stage("seed_weight_high", math.ceil(n / 2) + 2)
-    return lo, hi
+    for _ in range(cfg.stage("seed_tries", 200)):
+        cand = sample_middle_layer(n, lo, hi, rng)
+        if oracle(cand) == 1:
+            return cand
+    return None
 
 
 def edge_tester(fn: Callable[[BitString], int], n: int, cfg: TesterConfig) -> Verdict:
@@ -265,15 +266,9 @@ def flipped_dnf_attack(fn: Callable[[BitString], int], n: int, cfg: TesterConfig
     oracle = CountingOracle(fn, budget=cfg.q)
     rng = RngStream(cfg.seed, "flipped-dnf-attack")
     m = max(1, math.isqrt(n))
-    w_lo, w_hi = _seed_window(n, cfg)
     stages: dict[str, int] = {}
     try:
-        x = None
-        for _ in range(cfg.stage("seed_tries", 200)):
-            cand = _random_weight_window(n, rng, w_lo, w_hi)
-            if oracle(cand) == 1:
-                x = cand
-                break
+        x = _find_seed(oracle, rng, n, cfg)
         stages["seed"] = oracle.queries_used
         if x is None:
             return _accept(oracle, stages, cfg.seed)
@@ -329,15 +324,9 @@ def two_level_attack(
     m = max(1, math.isqrt(n))
     lo_band = n / 2 - math.sqrt(n)
     hi_band = n / 2 + math.sqrt(n)
-    w_lo, w_hi = _seed_window(n, cfg)
     stages: dict[str, int] = {}
     try:
-        x = None
-        for _ in range(cfg.stage("seed_tries", 200)):
-            cand = _random_weight_window(n, rng, w_lo, w_hi)
-            if oracle(cand) == 1:
-                x = cand
-                break
+        x = _find_seed(oracle, rng, n, cfg)
         stages["seed"] = oracle.queries_used
         if x is None:
             return _accept(oracle, stages, cfg.seed)

@@ -64,6 +64,8 @@ __all__ = [
 # Thresholds
 # ---------------------------------------------------------------------------
 
+BALANCE_SUBSET_CAP = 12  # largest past-query subset the all_subsets check tries
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
@@ -82,9 +84,7 @@ class ClassifierConfig:
     balance_delta_threshold: Optional[float] = None  # n^(2/3) * log n
     balance_floor: Optional[float] = None  # n^(2/3) * log n / 8
     breach_count_cap: Optional[float] = None  # n^(1/3) / log n
-    breach_overlap_floor: Optional[float] = None  # n / 10
     shared_ones_floor: Optional[float] = None  # n/2 - alpha * sqrt(n) * log n
-    balance_subset_cap: int = 12
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -126,12 +126,6 @@ class ClassifierConfig:
         if self.breach_count_cap is not None:
             return self.breach_count_cap
         return self.n ** (1.0 / 3.0) / self.log_n
-
-    @property
-    def breach_overlap(self) -> float:
-        if self.breach_overlap_floor is not None:
-            return self.breach_overlap_floor
-        return self.n / 10.0
 
     @property
     def shared_ones(self) -> float:
@@ -687,7 +681,7 @@ def check_balanced_step(
     delta threshold of their agreement coordinates, then enough of those
     disagreements must be 1-to-0 flips inside ``M``.  ``all_subsets``
     checks the decision-tree form, quantified over subsets of past queries
-    up to the configured size cap.  Queries are taken in the normalized
+    up to ``BALANCE_SUBSET_CAP`` queries.  Queries are taken in the normalized
     convention (orientation zero on ``M``).
     """
     cfg = cfg or ClassifierConfig(t.n)
@@ -711,7 +705,7 @@ def check_balanced_step(
                 return False
         return True
 
-    if mode not in ("all_subsets", "all_subsets_capped"):
+    if mode != "all_subsets":
         raise ValueError(f"unknown balance mode {mode!r}")
     past = [q for q, _ in t.queries]
     if len(past) > 20:
@@ -719,7 +713,7 @@ def check_balanced_step(
             "subset balance enumeration capped at 20 past queries"
         )
     coords = range(t.n)
-    for size in range(0, min(len(past), cfg.balance_subset_cap) + 1):
+    for size in range(0, min(len(past), BALANCE_SUBSET_CAP) + 1):
         for subset in combinations(range(len(past)), size):
             pts = [past[q] for q in subset]
             agree = {

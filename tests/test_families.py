@@ -318,6 +318,15 @@ class TestSerialization:
         back = instance_from_json(json.loads(blob))
         assert json.dumps(back.to_json(), sort_keys=True) == blob
 
+    def test_flipdnf_truncate_after_flip_key(self):
+        obj = FlippedDnfInstance.sample(16, "no", seed=3).to_json()
+        assert "truncate_after_flip" not in obj
+        table = instance_from_json(obj).truth_table()
+        old = instance_from_json({**obj, "truncate_after_flip": False})
+        assert np.array_equal(old.truth_table(), table)
+        with pytest.raises(ValueError, match="truncate_after_flip"):
+            instance_from_json({**obj, "truncate_after_flip": True})
+
 
 # blake2b digests of truth_table() as the one-level and unateness families
 # computed it when each had its own implementation; they pin the shared
