@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .core import BitString, RngStream
+from .core import BitString, ResourceLimitError, RngStream
 from .distance import (
     estimate_witness_density,
     exact_dist_mono,
@@ -27,12 +27,12 @@ from .distance import (
     unate_dist_lower_bound,
 )
 from .families import (
-    FlippedDnfInstance,
-    QuadrantInstance,
+    _FAMILIES,
     MonoInstance,
     OneLevelInstance,
     UnateInstance,
     instance_from_json,
+    sample_instance,
 )
 from .experiments import (
     _ATTACKS,
@@ -52,15 +52,6 @@ from .sigoracle import (
 )
 from .testers import TesterConfig
 
-_SAMPLERS = {
-    "mono": lambda a: MonoInstance.sample(a.n, a.world, a.seed, storage=a.storage),
-    "flipdnf": lambda a: FlippedDnfInstance.sample(a.n, a.world, a.seed),
-    "onelevel": lambda a: OneLevelInstance.sample(a.n, a.world, a.seed),
-    "unate": lambda a: UnateInstance.sample(a.n, a.world, a.seed),
-    "quadrant": lambda a: QuadrantInstance.sample(a.n, a.seed),
-}
-
-
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -74,7 +65,7 @@ def _instance_dimension(inst) -> int:
 
 
 def _cmd_sample(args, parser) -> int:
-    inst = _SAMPLERS[args.family](args)
+    inst = sample_instance(args.family, args.n, args.world, args.seed, storage=args.storage)
     text = _dump_json(inst.to_json())
     if args.out:
         Path(args.out).write_text(text)
@@ -158,7 +149,8 @@ def _cmd_distance(args, parser) -> int:
     out: dict = {"mode": args.mode}
     if args.mode in ("exact-mono", "exact-unate"):
         exact = exact_dist_mono if args.mode == "exact-mono" else exact_dist_unate
-        d = exact(inst.truth_table(), cap=args.cap)
+        # without --cap, the function's own cap for its mode applies
+        d = exact(inst.truth_table(), **({} if args.cap is None else {"cap": args.cap}))
         out["distance"] = str(d)
         out["distance_float"] = float(d)
     elif args.mode == "lower-bound":
@@ -214,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample an instance and write it as JSON")
-    p.add_argument("--family", required=True, choices=sorted(_SAMPLERS))
+    p.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--world", choices=["yes", "no"], default="yes")
     p.add_argument("--seed", type=int, default=0)
@@ -254,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=14)
+    p.add_argument("--cap", type=int, help="largest n for an exact distance "
+                   "(default: the library cap of the chosen mode)")
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("experiment", help="run a named experiment from a config")
@@ -280,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (ValueError, OutOfBandError, FileNotFoundError, KeyError) as e:
+    except (ValueError, OutOfBandError, ResourceLimitError, FileNotFoundError, KeyError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

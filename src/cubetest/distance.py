@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import BitString, ResourceLimitError, RngStream
-from .families import MonoInstance, UnateInstance, _first_two, _points_matrix
+from .families import MonoInstance, UnateInstance, _bit_masks, _cube_weights, _first_two
 
 __all__ = [
     "FarnessEstimate",
@@ -253,17 +253,16 @@ def middle_layer_indices(n: int, band_low: float, band_high: float) -> np.ndarra
     """Indices of all points with weight inside the band (ascending)."""
     if n > 20:
         raise ResourceLimitError("middle-layer enumeration capped at n=20")
-    w = _points_matrix(n).sum(axis=1)
+    w = _cube_weights(n)
     return np.flatnonzero((w >= band_low) & (w <= band_high))
 
 
 def _witness_scan(inst: MonoInstance) -> tuple[int, list[tuple[BitString, BitString]]]:
     """Vectorized exhaustive scan of the witness set over the middle layers."""
     mid = middle_layer_indices(inst.n, inst.band_low, inst.band_high)
-    sub = _points_matrix(inst.n)[mid]
-    count, first = _first_two(sub, inst._terms)
+    count, first = _first_two(mid, _bit_masks(inst._terms))
     members: list[tuple[BitString, BitString]] = []
-    for i, rows, fcount, js in inst._unique_term_cells(sub, first, count == 1):
+    for i, rows, fcount, js in inst._unique_term_cells(mid, first, count == 1):
         pick = fcount == 1
         for row, j in zip(rows[pick], js[pick]):
             edge = _cell_witness(inst, BitString(inst.n, int(mid[row])), i, int(j))
@@ -362,7 +361,6 @@ def unate_no_family_stats(
     mbar = sorted(int(k) for k in inst.Mbar_sorted)
     if exhaustive:
         table, rows, terms = inst._base_scan()
-        X = _points_matrix(inst.n)[rows]
         ks = inst._dict_vars[terms]
         zero = table[rows] == 0
         size = 1 << inst.n
@@ -371,8 +369,9 @@ def unate_no_family_stats(
         total_min = 0.0
         for k in mbar:
             sel = (ks == k) & zero
-            p = int((sel & ~X[:, k]).sum())
-            m = int((sel & X[:, k]).sum())
+            xk = ((rows >> k) & 1).astype(bool)
+            p = int((sel & ~xk).sum())
+            m = int((sel & xk).sum())
             plus[k] = FarnessEstimate.exact(p / size)
             minus[k] = FarnessEstimate.exact(m / size)
             total_min += min(p, m) / size

@@ -34,13 +34,7 @@ from .distance import (
     unate_dist_lower_bound,
     witness_edge_family,
 )
-from .families import (
-    _FAMILIES,
-    QuadrantInstance,
-    MonoInstance,
-    UnateInstance,
-    _is_square,
-)
+from .families import QuadrantInstance, MonoInstance, UnateInstance, sample_instance
 from .likelihood import (
     mono_leaf_likelihood,
     mono_leaf_likelihood_bruteforce,
@@ -141,13 +135,9 @@ class ResultRow:
         return (self.n, self.world, self.seed, self.metric)
 
 
-def _sample_instance(family: str, n: int, world: str, seed: int):
-    cls = _FAMILIES[family]
-    if cls is QuadrantInstance:
-        return cls.sample(n, seed)
-    if cls is MonoInstance and not _is_square(n):
-        return cls.sample(n, world, seed, term_len=round(math.sqrt(n)))
-    return cls.sample(n, world, seed)
+def _term_len(n: int) -> int:
+    """Two-level term length: ``sqrt(n)`` at square ``n``, rounded elsewhere."""
+    return round(math.sqrt(n))
 
 
 def _pmap(threads: int, fn: Callable, tasks: list) -> list:
@@ -166,7 +156,7 @@ def _pmap(threads: int, fn: Callable, tasks: list) -> list:
 
 
 def _monotone_check_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
-    inst = _sample_instance(cfg.family or "mono", n, world, seed)
+    inst = sample_instance(cfg.family or "mono", n, world, seed, term_len=_term_len(n))
     return [("violating_edges", count_violating_edges(inst.truth_table(), n))]
 
 
@@ -178,7 +168,7 @@ def _unate_check_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> l
 
 def _signature_soundness_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     family = cfg.family or "mono"
-    inst = _sample_instance(family, n, world, seed)
+    inst = sample_instance(family, n, world, seed, term_len=_term_len(n))
     rng = RngStream(seed, f"soundness-{family}")
     mismatches = 0
     checked = 0
@@ -268,7 +258,7 @@ def _witness_density_task(cfg: ExperimentConfig, n: int, world: str, seed: int) 
 
 
 def _farness_consistency_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
-    inst = _sample_instance("mono", n, "no", seed)
+    inst = sample_instance("mono", n, "no", seed, term_len=_term_len(n))
     fam = witness_edge_family(inst)
     used = set()
     for x, y in fam:
@@ -304,7 +294,7 @@ _ATTACK_FAMILY = {"edge": "mono", "flipdnf": "flipdnf", "two-level": "mono"}
 def _attack_rates_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
     tester = cfg.tester or "edge"
     family = cfg.family or _ATTACK_FAMILY[tester]
-    inst = _sample_instance(family, n, world, seed)
+    inst = sample_instance(family, n, world, seed, term_len=_term_len(n))
     tcfg = TesterConfig(
         q=cfg.budget, seed=seed, stage_overrides=dict(cfg.stage_overrides)
     )
@@ -379,7 +369,8 @@ EXPERIMENTS: dict[str, Callable] = {
     "classifier-sanity": _classifier_sanity_task,
 }
 
-# these sample a no-world instance whatever the grid says, so their rows say "no"
+# these sample a no-world instance whatever the grid says, so each seed runs
+# once, on world "no"
 _NO_WORLD_ONLY = {"farness-estimate", "farness-consistency", "quadrant-farness"}
 
 
@@ -398,26 +389,26 @@ def _run_task(args) -> list[ResultRow]:
     except Exception as e:  # noqa: BLE001 - recorded, not swallowed silently
         return [ResultRow(cfg.experiment, seed, n, world, f"error:{type(e).__name__}", 1.0)]
     dt = time.perf_counter() - t0
-    if cfg.experiment in _NO_WORLD_ONLY:
-        world = "no"
     return [ResultRow(cfg.experiment, seed, n, world, *m, wall_time_s=dt) for m in metrics]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the named experiment over its (n, world, seed) grid.
 
-    Per-seed failures are recorded as ``error:*`` metric rows; the run
-    continues.
+    The experiments of ``_NO_WORLD_ONLY`` run on world ``"no"`` alone,
+    whatever ``cfg.worlds`` holds.  Per-seed failures are recorded as
+    ``error:*`` metric rows; the run continues.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {cfg.experiment!r}; "
             f"known: {sorted(EXPERIMENTS)}"
         )
+    worlds = ["no"] if cfg.experiment in _NO_WORLD_ONLY else cfg.worlds
     tasks = [
         (cfg, n, world, seed)
         for n in cfg.n
-        for world in cfg.worlds
+        for world in worlds
         for seed in cfg.seeds
     ]
     results: list[ResultRow] = []

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +58,7 @@ __all__ = [
     "UnateInstance",
     "QuadrantInstance",
     "instance_from_json",
+    "sample_instance",
 ]
 
 TABLE_CAP = 20  # largest dimension for explicit truth tables (2**20 entries)
@@ -77,15 +77,6 @@ def _is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
 
 
-@lru_cache(maxsize=4)
-def _points_matrix(n: int) -> np.ndarray:
-    """All points of {0,1}^n as a (2**n, n) boolean matrix, row = index."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    out = ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-    out.setflags(write=False)
-    return out
-
-
 def _require_table_cap(n: int) -> None:
     if n > TABLE_CAP:
         raise ResourceLimitError(
@@ -102,17 +93,50 @@ def _band_class(w: float, lo: float, hi: float) -> str:
     return "middle"
 
 
-def _first_two(X: np.ndarray, terms: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the point matrix ``X``: the number of ``terms`` (arrays of
-    variable indices) it satisfies, capped at 2, and the first one (-1 if
-    none).  An empty term is satisfied by every row."""
-    count = np.zeros(len(X), dtype=np.uint8)
-    first = np.full(len(X), -1, dtype=np.int32)
-    for i, members in enumerate(terms):
-        sat = X[:, members].all(axis=1)
+# Whole-cube scans (n <= TABLE_CAP) see a point as its integer index in the
+# ``BitString.bits`` encoding and a term or clause as the bit mask of its
+# variables: ``p`` satisfies term ``m`` when ``p & m == m`` and falsifies
+# clause ``m`` when ``p & m == 0``, that is when ``~p`` satisfies term ``m``.
+
+
+def _cube_weights(n: int) -> np.ndarray:
+    """Hamming weight of every point of ``{0,1}^n``, indexed by the point."""
+    w = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        w[1 << i : 2 << i] = w[: 1 << i] + 1
+    return w
+
+
+def _bit_masks(members: np.ndarray) -> np.ndarray:
+    """Bit mask of each row of variable indices (duplicates allowed)."""
+    return np.bitwise_or.reduce(np.left_shift(1, members, dtype=np.int64), axis=-1)
+
+
+def _first_two(points: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per integer point: the number of term ``masks`` it satisfies, capped
+    at 2, and the first one (-1 if none).  An empty mask is satisfied by
+    every point."""
+    count = np.zeros(len(points), dtype=np.uint8)
+    first = np.full(len(points), -1, dtype=np.int32)
+    for i, m in enumerate(masks):
+        sat = (points & m) == m
         first[sat & (count == 0)] = i
         count[sat & (count < 2)] += 1
     return count, first
+
+
+def _hits(xb: np.ndarray, terms: np.ndarray, limit: int) -> list[int]:
+    """Per-query scan: the first ``limit`` rows of ``terms`` (variable
+    indices) whose variables are all set in the boolean point ``xb``,
+    ascending.  Clauses falsified by ``x`` are the terms hit by ``~x``."""
+    hits: list[int] = []
+    chunk = 8192
+    for lo in range(0, len(terms), chunk):
+        for k in np.flatnonzero(xb[terms[lo : lo + chunk]].all(axis=1)):
+            hits.append(lo + int(k))
+            if len(hits) >= limit:
+                return hits
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +387,11 @@ class MonoInstance:
 
     def satisfied_terms(self, x: BitString, limit: int = 2) -> list[int]:
         """Indices of the first ``limit`` satisfied terms, ascending."""
-        xb = x.to_array()
-        hits: list[int] = []
-        chunk = 8192
-        for lo in range(0, self.N, chunk):
-            sat = xb[self._terms[lo : lo + chunk]].all(axis=1)
-            for k in np.flatnonzero(sat):
-                hits.append(lo + int(k))
-                if len(hits) >= limit:
-                    return hits
-        return hits
+        return _hits(x.to_array(), self._terms, limit)
 
     def falsified_clauses(self, i: int, x: BitString, limit: int = 2) -> list[int]:
         """Indices of the first ``limit`` clauses of row ``i`` falsified by x."""
-        xb = x.to_array()
-        blk = self.clause_block(i)
-        hits: list[int] = []
-        chunk = 8192
-        for lo in range(0, self.N, chunk):
-            fals = ~xb[blk[lo : lo + chunk]].any(axis=1)
-            for k in np.flatnonzero(fals):
-                hits.append(lo + int(k))
-                if len(hits) >= limit:
-                    return hits
-        return hits
+        return _hits(~x.to_array(), self.clause_block(i), limit)
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""
@@ -423,36 +428,33 @@ class MonoInstance:
     def truth_table(self) -> np.ndarray:
         """Vectorized full table; entry ``t`` is the value at bits ``t``."""
         _require_table_cap(self.n)
-        X = _points_matrix(self.n)
-        w = X.sum(axis=1)
-        table = np.zeros(1 << self.n, dtype=np.uint8)
-        table[w > self.band_high] = 1
+        points = np.arange(1 << self.n, dtype=np.int64)
+        w = _cube_weights(self.n)
+        table = (w > self.band_high).astype(np.uint8)
         mid = (w >= self.band_low) & (w <= self.band_high)
-        count, first = _first_two(X, self._terms)
+        count, first = _first_two(points, _bit_masks(self._terms))
         table[mid & (count >= 2)] = 1
-        for i, rows, fcount, js in self._unique_term_cells(X, first, mid & (count == 1)):
+        for i, rows, fcount, js in self._unique_term_cells(points, first, mid & (count == 1)):
             table[rows[fcount == 0]] = 1
             pick = fcount == 1
-            rr = rows[pick]
-            vals = X[rr, self.dict_row(i)[js[pick]]].astype(np.uint8)
+            rr = rows[pick]  # here a row is its own point
+            vals = (rr >> self.dict_row(i)[js[pick]]) & 1
             table[rr] = 1 - vals if self.negated else vals
         return table
 
-    def _unique_term_cells(self, X: np.ndarray, first: np.ndarray, unique: np.ndarray):
-        """Clause scan of the rows of ``X`` that satisfy exactly one term.
+    def _unique_term_cells(self, points: np.ndarray, first: np.ndarray, unique: np.ndarray):
+        """Clause scan of the integer ``points`` that satisfy exactly one term.
 
-        ``unique`` selects those rows and ``first`` holds their term.  Yields,
-        per term ``i``: the rows, how many clauses of row ``i`` each one
-        falsifies, and the first falsified clause (meaningful where that
-        count is positive).
+        ``unique`` selects those points and ``first`` holds their term.
+        Yields, per term ``i``: their positions in ``points``, how many
+        clauses of row ``i`` each one falsifies (capped at 2), and the first
+        falsified clause (meaningful where that count is positive).
         """
         for i in np.unique(first[unique]):
             i = int(i)
             rows = np.flatnonzero(unique & (first == i))
-            blk = self.clause_block(i)
-            satc = X[rows][:, blk.reshape(-1)].reshape(len(rows), self.N, self.m)
-            fals = ~satc.any(axis=2)
-            yield i, rows, fals.sum(axis=1), fals.argmax(axis=1)
+            fcount, js = _first_two(~points[rows], _bit_masks(self.clause_block(i)))
+            yield i, rows, fcount, js
 
     # -- serialization --------------------------------------------------------
 
@@ -567,12 +569,7 @@ class FlippedDnfInstance:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
 
     def dnf_value(self, x: BitString) -> int:
-        xb = x.to_array()
-        chunk = 8192
-        for lo in range(0, self.N, chunk):
-            if xb[self._terms[lo : lo + chunk]].all(axis=1).any():
-                return 1
-        return 0
+        return len(_hits(x.to_array(), self._terms, 1))
 
     def value(self, x: BitString) -> int:
         if x.n != self.n:
@@ -584,15 +581,10 @@ class FlippedDnfInstance:
 
     def truth_table(self) -> np.ndarray:
         _require_table_cap(self.n)
-        X = _points_matrix(self.n)
-        size = 1 << self.n
-        dnf = np.zeros(size, dtype=bool)
-        for i in range(self.N):
-            dnf |= X[:, self._terms[i]].all(axis=1)
-        idx = np.arange(size, dtype=np.int64) ^ self.flip_coords.mask
-        inner = dnf[idx]
-        w = X.sum(axis=1)
-        table = inner.astype(np.uint8)
+        flipped = np.arange(1 << self.n, dtype=np.int64) ^ self.flip_coords.mask
+        count, _ = _first_two(flipped, _bit_masks(self._terms))
+        w = _cube_weights(self.n)
+        table = (count > 0).astype(np.uint8)
         table[w > self.band_high] = 1
         table[w < self.band_low] = 0
         return table
@@ -824,16 +816,16 @@ class UnateInstance:
         one term (ascending) and that term for each of them.
         """
         _require_table_cap(self.n)
-        X = _points_matrix(self.n)
-        wM = X[:, self.M_sorted].sum(axis=1)
-        table = np.zeros(1 << self.n, dtype=np.uint8)
-        table[wM > self.band_high] = 1
+        points = np.arange(1 << self.n, dtype=np.int64)
+        wM = _cube_weights(self.n)[points & self._m_mask]
+        table = (wM > self.band_high).astype(np.uint8)
         mid = (wM >= self.band_low) & (wM <= self.band_high)
-        count, first = _first_two(X, [np.flatnonzero(m) for m in self._masks])
+        masks = self._masks @ np.left_shift(1, np.arange(self.n, dtype=np.int64))
+        count, first = _first_two(points, masks)
         table[mid & (count >= 2)] = 1
-        rows = np.flatnonzero(mid & (count == 1))
+        rows = np.flatnonzero(mid & (count == 1))  # a row is its own point
         terms = first[rows]
-        table[rows] = X[rows, self._dict_vars[terms]] ^ self._dict_negated[terms]
+        table[rows] = ((rows >> self._dict_vars[terms]) & 1) ^ self._dict_negated[terms]
         return table, rows, terms
 
     def base_truth_table(self) -> np.ndarray:
@@ -1022,6 +1014,18 @@ _FAMILIES = {
     "unate": UnateInstance,
     "quadrant": QuadrantInstance,
 }
+
+
+def sample_instance(family: str, n: int, world: str, seed: int, **mono_options):
+    """Sample any family by name.  ``mono_options`` (``storage``,
+    ``term_len``) reach only :meth:`MonoInstance.sample`; the four-quadrant
+    family has no worlds."""
+    cls = _FAMILIES[family]
+    if cls is QuadrantInstance:
+        return cls.sample(n, seed)
+    if cls is MonoInstance:
+        return cls.sample(n, world, seed, **mono_options)
+    return cls.sample(n, world, seed)
 
 
 def instance_from_json(obj: dict):

@@ -147,6 +147,18 @@ class TestDistanceCommand:
         rec = json.loads(capsys.readouterr().out)
         assert rec["lower_bound"] == "1/8"
 
+    @pytest.mark.parametrize(
+        "family, n, mode, cap",
+        [("mono", "16", "exact-mono", 14), ("quadrant", "9", "exact-unate", 10)],
+    )
+    def test_over_cap_is_a_usage_error(self, tmp_path, capsys, family, n, mode, cap):
+        # each mode defaults to its library cap; past it the command exits 2
+        inst = tmp_path / "inst.json"
+        run_cli("sample", "--family", family, "--n", n, "--seed", "1", "--out", str(inst))
+        assert run_cli("distance", "--instance", str(inst), "--mode", mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"capped at n={cap}" in err
+
 
 class TestExperimentRoundtrip:
     def cfg(self) -> ExperimentConfig:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -22,6 +23,10 @@ from cubetest.distance import (
     witness_edge_at,
 )
 from cubetest.families import QuadrantInstance, MonoInstance, UnateInstance
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
 def table_of(fn, n):
@@ -273,3 +278,52 @@ class TestExactMiddleSampler:
             counts[x.bits] = counts.get(x.bits, 0) + 1
         support = len(middle_layer_indices(8, 3, 5))
         assert len(counts) > support * 0.9
+
+
+# blake2b digests recorded when the whole-cube scans ran over a boolean
+# point matrix; they pin the integer-point scans bit for bit.
+# witness_edge_family of MonoInstance.sample(n, "no", seed, term_len=...):
+WITNESS_FAMILY_DIGESTS = {
+    (14, 4, 0): "b1f12ec37d2277e9386b3d37dcd0183f",
+    (14, 4, 1): "b2c82f4be23ff27a77496e29b1c7abfc",
+    (16, None, 0): "b47e6b15b259211ca162295ba1ae0ecc",
+    (16, None, 1): "5f69f618a048e4cca18c4d52ddba0e41",
+}
+# middle_layer_indices(n, n/2 - sqrt(n), n/2 + sqrt(n)) as int64 bytes:
+MIDDLE_LAYER_DIGESTS = {
+    9: "e55c6e6d787f5da91c0ba08e13c1acb3",
+    14: "75e16dc5c0ad266599a1259097430780",
+    16: "967ef329eb6e93c41bcaa0b8b1dc4a62",
+    20: "82f106ae5a47e725d23780bb3464d9e6",
+}
+# repr of unate_no_family_stats(UnateInstance.sample(16, world, seed), exhaustive=True):
+UNATE_STATS_DIGESTS = {
+    (0, "yes"): "51d521b6644e09ebf94ecdbec87b2a12",
+    (0, "no"): "4a8ac22a8a6c403b5285126447f2b431",
+    (1, "yes"): "d5820b60b1f0240058f940a6daa77f13",
+    (1, "no"): "fa268f288b2e9d347a62343983ff1219",
+}
+
+
+def test_cube_scans_pinned():
+    witness = {}
+    for n, term_len in ((14, 4), (16, None)):
+        for seed in (0, 1):
+            fam = witness_edge_family(MonoInstance.sample(n, "no", seed, term_len=term_len))
+            witness[n, term_len, seed] = _digest(repr([(x.bits, y.bits) for x, y in fam]).encode())
+    middle = {
+        n: _digest(np.asarray(
+            middle_layer_indices(n, n / 2 - math.sqrt(n), n / 2 + math.sqrt(n)), dtype=np.int64
+        ).tobytes())
+        for n in (9, 14, 16, 20)
+    }
+    stats = {
+        (seed, world): _digest(repr(
+            unate_no_family_stats(UnateInstance.sample(16, world, seed), exhaustive=True)
+        ).encode())
+        for seed in (0, 1)
+        for world in ("yes", "no")
+    }
+    assert witness == WITNESS_FAMILY_DIGESTS
+    assert middle == MIDDLE_LAYER_DIGESTS
+    assert stats == UNATE_STATS_DIGESTS

@@ -3,8 +3,8 @@ the shipped configs.
 
 The digests cover the stable columns of ``rows.csv`` (every column but
 wall time) and the config hash, for a tiny grid of each experiment with
-both worlds in it.  They change only when an experiment's rows or the
-config hash change.
+both worlds in it (the no-world-only experiments run world "no" alone).
+They change only when an experiment's rows or the config hash change.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ PINNED = [
      "89cc49f250a638a4aec1e999c9f247d9"),
     ("farness-estimate",
      {"experiment": "farness-estimate", "family": "mono", "n": [16], "samples": 500},
-     "6e280f8cb2107bdbd8bd1f4367f1bd0a"),
+     "25b19571e3b998ba490fbec761301959"),
     ("farness-consistency",
      {"experiment": "farness-consistency", "family": "mono", "n": [9]},
-     "75b06c490bb71f9502884e54c81daac0"),
+     "6f07c26cc6e835878c4771346196fb44"),
     ("quadrant-farness",
      {"experiment": "quadrant-farness", "family": "quadrant", "n": [4]},
-     "8016e80ed93e3258fd4e913406083661"),
+     "f49bff0de902afc6055c62f6a6319978"),
     ("attack-rates-edge",
      {"experiment": "attack-rates", "tester": "edge", "n": [16], "budget": 400},
      "e65cc3ed211f173b7515976dbeec8e94"),
@@ -99,6 +99,15 @@ def test_pins_cover_every_experiment():
     assert {obj["experiment"] for _, obj, _ in PINNED} == set(EXPERIMENTS)
     testers = {obj["tester"] for _, obj, _ in PINNED if obj["experiment"] == "attack-rates"}
     assert testers == set(_ATTACKS)
+
+
+@pytest.mark.parametrize("worlds", [["yes"], ["yes", "no"]])
+def test_no_world_only_runs_each_seed_once(worlds):
+    cfg = ExperimentConfig.from_json({"experiment": "quadrant-farness", "n": [4],
+                                      "worlds": worlds, "seeds": [0, 1]})
+    rows = run_experiment(cfg)
+    assert {r.world for r in rows} == {"no"}
+    assert len({r.key() for r in rows}) == len(rows) == 4
 
 
 class TestErrorRowsInPool:

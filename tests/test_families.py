@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetest.core import BitString, ResourceLimitError
 from cubetest.families import (
@@ -343,12 +345,128 @@ SINGLE_LEVEL_TABLE_DIGESTS = {
 }
 
 
+def _table_digest(inst) -> str:
+    return hashlib.blake2b(inst.truth_table().tobytes(), digest_size=16).hexdigest()
+
+
 def test_single_level_tables_pinned():
     got = {}
     for cls in (OneLevelInstance, UnateInstance):
         for seed in (0, 1):
             for world in ("yes", "no"):
-                table = cls.sample(16, world, seed).truth_table()
-                digest = hashlib.blake2b(table.tobytes(), digest_size=16)
-                got[cls.family, seed, world] = digest.hexdigest()
+                got[cls.family, seed, world] = _table_digest(cls.sample(16, world, seed))
     assert got == SINGLE_LEVEL_TABLE_DIGESTS
+
+
+# blake2b digests of truth_table() as computed over a boolean point matrix;
+# they pin the integer-point whole-cube scans of the two-level and
+# flipped-DNF families bit for bit.  Keys: (n, term_len, seed, world).
+MONO_TABLE_DIGESTS = {
+    (9, None, 0, "yes"): "0a06e8ee2a6589e48263150a0a064282",
+    (16, None, 0, "yes"): "00514aadfa927fb90a38958bae943ce7",
+    (14, 4, 0, "yes"): "8a6c136887e8b3cbaf23e256e941c689",
+    (9, None, 0, "no"): "7c31baed15d4f2822635e10d93de51a2",
+    (16, None, 0, "no"): "c443af7d8ad5c35df4aec949a1057add",
+    (14, 4, 0, "no"): "9974bf5c1f7b7093ecbeabb305194a03",
+    (9, None, 1, "yes"): "53ea988fa57a9ae58ce7652a44a0e0f0",
+    (16, None, 1, "yes"): "4b273fa80e2455afedfdfcd94c21e076",
+    (14, 4, 1, "yes"): "9cec54bb9f78c849126e740b6a891e55",
+    (9, None, 1, "no"): "1c22b88b1eedb5976ada636796f1bdd7",
+    (16, None, 1, "no"): "83b7b8f7f0354e98120f6c47a6b826dd",
+    (14, 4, 1, "no"): "c9b0886b97f44d29b946062417cc9e01",
+}
+FLIPDNF_TABLE_DIGESTS = {
+    (9, 0, "yes"): "8a0257a146a7527d9f017f99cde3dbdf",
+    (16, 0, "yes"): "6da5c5ac78e738363f1b5e86c7e6a39f",
+    (9, 0, "no"): "e3eb0ae0b17c4b868162c21d0555956a",
+    (16, 0, "no"): "fd6d423e9748b1e14e2b1005741646c7",
+    (9, 1, "yes"): "8efd76a006d20e2c3397dfb64981bc43",
+    (16, 1, "yes"): "2792bac5fdb40cf2c10bbf7e0275484a",
+    (9, 1, "no"): "458a291878e4f5cc59b01cf2b6810c8e",
+    (16, 1, "no"): "bd7ae314b0f0474ba1d98d794b701f4e",
+}
+
+
+def test_mono_and_flipdnf_tables_pinned():
+    got_mono, got_flip = {}, {}
+    for seed in (0, 1):
+        for world in ("yes", "no"):
+            for n, term_len in ((9, None), (16, None), (14, 4)):
+                inst = MonoInstance.sample(n, world, seed, term_len=term_len)
+                got_mono[n, term_len, seed, world] = _table_digest(inst)
+            for n in (9, 16):
+                inst = FlippedDnfInstance.sample(n, world, seed)
+                got_flip[n, seed, world] = _table_digest(inst)
+    assert got_mono == MONO_TABLE_DIGESTS
+    assert got_flip == FLIPDNF_TABLE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Hand-built instances: tables against the scalar oracle, and per-query hits
+# against the Term / Clause views
+# ---------------------------------------------------------------------------
+
+
+def _first_two_of(flags) -> list[int]:
+    return [i for i, hit in enumerate(flags) if hit][:2]
+
+
+@st.composite
+def _handbuilt(draw):
+    """A hand-built instance at n <= 12 of one of four families, with
+    duplicate members and (single-level) empty terms allowed."""
+    n = draw(st.integers(4, 12))
+    world = draw(st.sampled_from(["yes", "no"]))
+    var = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["mono", "flipdnf", "onelevel", "unate"]))
+    N = draw(st.integers(1, 5))
+    if kind == "mono":
+        m = draw(st.integers(1, 4))
+        vec = st.lists(var, min_size=m, max_size=m)
+        row = st.lists(vec, min_size=N, max_size=N)
+        return MonoInstance.from_parts(
+            n, world,
+            draw(row),
+            draw(st.lists(row, min_size=N, max_size=N)),
+            draw(st.lists(st.lists(var, min_size=N, max_size=N), min_size=N, max_size=N)),
+        )
+    if kind == "flipdnf":
+        m = draw(st.integers(1, 4))
+        terms = draw(st.lists(st.lists(var, min_size=m, max_size=m), min_size=N, max_size=N))
+        flip = draw(st.lists(var, max_size=3)) if world == "no" else []
+        return FlippedDnfInstance.from_parts(n, world, terms, flip)
+    if kind == "onelevel":
+        terms = draw(st.lists(st.lists(var, max_size=4), min_size=N, max_size=N))
+        dicts = draw(st.lists(var, min_size=N, max_size=N))
+        return OneLevelInstance.from_parts(n, world, terms, dicts)
+    members = draw(st.lists(var, min_size=1, max_size=n - 1, unique=True))
+    inside = st.sampled_from(sorted(members))
+    outside = st.sampled_from(sorted(set(range(n)) - set(members)))
+    terms = draw(st.lists(st.lists(inside, max_size=4), min_size=N, max_size=N))
+    polarity = st.booleans() if world == "no" else st.just(False)
+    dicts = draw(st.lists(st.tuples(outside, polarity), min_size=N, max_size=N))
+    bits = st.integers(0, 1)
+    r = draw(st.lists(bits, min_size=len(members), max_size=len(members)))
+    s = draw(st.lists(bits, min_size=n - len(members), max_size=n - len(members)))
+    return UnateInstance.from_parts(n, world, members, terms, dicts, r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_handbuilt(), picks=st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=24))
+def test_handbuilt_scans_match_views(inst, picks):
+    n = inst.n
+    table = inst.truth_table()
+    assert [int(v) for v in table] == [inst.value(BitString(n, t)) for t in range(1 << n)]
+    terms = [inst.term(i) for i in range(inst.N)]
+    for pick in picks:
+        x = BitString(n, pick % (1 << n))
+        if isinstance(inst, UnateInstance):
+            assert inst.satisfied_terms_base(x) == _first_two_of(t.satisfied_by(x) for t in terms)
+            continue
+        if isinstance(inst, FlippedDnfInstance):
+            assert inst.dnf_value(x) == int(any(t.satisfied_by(x) for t in terms))
+            continue
+        assert inst.satisfied_terms(x) == _first_two_of(t.satisfied_by(x) for t in terms)
+        for i in range(inst.N):
+            views = (inst.clause(i, j).falsified_by(x) for j in range(inst.N))
+            assert inst.falsified_clauses(i, x) == _first_two_of(views)
