@@ -186,10 +186,8 @@ def _cmd_experiment(args, parser) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(rows_to_csv(rows))
-    failed = [r for r in rows if r.metric.startswith("error:")]
-    for r in failed:
-        sys.stderr.write(f"failed: n={r.n} world={r.world} seed={r.seed} {r.metric}\n")
-    return 1 if failed else 0
+    # each failed seed was named on stderr, with its message, as it failed
+    return 1 if any(r.metric.startswith("error:") for r in rows) else 0
 
 
 def _cmd_verify(args, parser) -> int:

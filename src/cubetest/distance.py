@@ -209,6 +209,16 @@ def unate_dist_lower_bound(table: np.ndarray, n: Optional[int] = None) -> Fracti
 # ---------------------------------------------------------------------------
 
 
+def _require_witness_instance(inst) -> None:
+    """The witness set is defined for no-world two-level instances only."""
+    if not isinstance(inst, MonoInstance):
+        raise ValueError(
+            f"the witness set is defined for two-level instances, got {type(inst).__name__}"
+        )
+    if inst.world != "no":
+        raise ValueError("the witness set is defined for no-world instances")
+
+
 def witness_edge_at(
     inst: MonoInstance, x: BitString
 ) -> Optional[tuple[BitString, BitString]]:
@@ -221,8 +231,7 @@ def witness_edge_at(
     flipped to 1.  The returned pair ``(x, x^(k))`` then re-verifies as a
     violating edge, and distinct members yield disjoint edges.
     """
-    if inst.world != "no":
-        raise ValueError("the witness set is defined for no-world instances")
+    _require_witness_instance(inst)
     if inst.weight_class(x) != "middle":
         return None
     r = inst.route(x)
@@ -259,6 +268,7 @@ def middle_layer_indices(n: int, band_low: float, band_high: float) -> np.ndarra
 
 def _witness_scan(inst: MonoInstance) -> tuple[int, list[tuple[BitString, BitString]]]:
     """Vectorized exhaustive scan of the witness set over the middle layers."""
+    _require_witness_instance(inst)
     mid = middle_layer_indices(inst.n, inst.band_low, inst.band_high)
     count, first = _first_two(mid, _bit_masks(inst._terms))
     members: list[tuple[BitString, BitString]] = []

@@ -1,10 +1,12 @@
 """Named experiments with deterministic CSV persistence.
 
-Every acceptance-style check is runnable as a named experiment from a
-JSON config; results land in ``<out>/<experiment>/<config-hash>/`` as
-``rows.csv`` plus ``meta.json``.  Reruns with an identical config produce
-identical metric columns (wall-time is the only volatile field), which is
-what the ``verify`` command enforces.
+Every acceptance criterion is a named experiment run from a JSON config
+in ``configs/``; the acceptance suite and ``scripts/calibrate.py`` read
+their rows from ``run_experiment`` on those configs.  Results land in
+``<out>/<experiment>/<config-hash>/`` as ``rows.csv`` plus ``meta.json``.
+Reruns with an identical config produce identical metric columns
+(wall-time is the only volatile field), which is what the ``verify``
+command enforces.
 
 Parallelism is by seed only (a worker owns whole seeds, never parts of a
 run), so per-run determinism is independent of the thread count.
@@ -17,9 +19,11 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -220,7 +224,9 @@ def _likelihood_equivalence_task(cfg: ExperimentConfig, n: int, world: str, seed
     for _ in range(cfg.queries_per_transcript):
         x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
         t.extend(x, mono_full_signature(inst, x))
-    if all(consistency_status(t, i, j) != "inconsistent" for (i, j) in t.rho):
+    # the closed form covers consistent transcripts only
+    mono_compared = all(consistency_status(t, i, j) != "inconsistent" for (i, j) in t.rho)
+    if mono_compared:
         closed = mono_leaf_likelihood(inst, t)
         brute = mono_leaf_likelihood_bruteforce(inst, t)
         for a, b in ((closed.p_yes, brute.p_yes), (closed.p_no, brute.p_no)):
@@ -244,7 +250,7 @@ def _likelihood_equivalence_task(cfg: ExperimentConfig, n: int, world: str, seed
     for a, b in ((closed.p_yes, brute.p_yes), (closed.p_no, brute.p_no)):
         if a != 0 or b != 0:
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return [("max_rel_err", worst)]
+    return [("max_rel_err", worst), ("mono_compared", float(mono_compared))]
 
 
 def _witness_density_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
@@ -265,11 +271,11 @@ def _farness_consistency_task(cfg: ExperimentConfig, n: int, world: str, seed: i
         assert x.bits not in used and y.bits not in used, "family edges overlap"
         used.add(x.bits)
         used.add(y.bits)
-    density = len(fam) / (1 << n)
-    dist = float(exact_dist_mono(inst.truth_table(), n, cap=max(n, 14)))
+    density = Fraction(len(fam), 1 << n)
+    dist = exact_dist_mono(inst.truth_table(), n, cap=max(n, 14))
     return [
-        ("family_density", density),
-        ("exact_dist", dist),
+        ("family_density", float(density)),
+        ("exact_dist", float(dist)),
         ("lower_bound_ok", float(density <= dist)),
     ]
 
@@ -322,10 +328,10 @@ def _orientation_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> l
     points = [BitString.random(n, rng) for _ in range(size)]
     try:
         r, tries = find_good_orientation(points, rng, max_tries=cfg.budget)
-        ok = float(check_orientation(points, r, n))
+        found, ok = 1.0, float(check_orientation(points, r, n))
     except OrientationNotFoundError as e:
-        tries, ok = e.tries, 0.0
-    return [("tries", tries), ("found_and_valid", ok)]
+        tries, found, ok = e.tries, 0.0, 0.0
+    return [("tries", tries), ("found", found), ("found_and_valid", ok)]
 
 
 def _classifier_sanity_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> list:
@@ -379,15 +385,19 @@ def _run_task(args) -> list[ResultRow]:
 
     Each row gets the experiment, seed, n, world and the body's wall
     time.  An exception becomes one ``error:<Type>`` row with the grid
-    world, and the rest of the grid keeps running (per-seed failure
-    isolation; module-level so process pools can pickle it).
+    world, its message goes to stderr, and the rest of the grid keeps
+    running (per-seed failure isolation; module-level so process pools
+    can pickle it).
     """
     cfg, n, world, seed = args
     t0 = time.perf_counter()
     try:
         metrics = EXPERIMENTS[cfg.experiment](cfg, n, world, seed)
     except Exception as e:  # noqa: BLE001 - recorded, not swallowed silently
-        return [ResultRow(cfg.experiment, seed, n, world, f"error:{type(e).__name__}", 1.0)]
+        metric = f"error:{type(e).__name__}"
+        line = f"failed: {cfg.experiment} n={n} world={world} seed={seed} {metric}: {e}\n"
+        sys.stderr.write(line)  # one write, so lines of concurrent workers do not interleave
+        return [ResultRow(cfg.experiment, seed, n, world, metric, 1.0)]
     dt = time.perf_counter() - t0
     return [ResultRow(cfg.experiment, seed, n, world, *m, wall_time_s=dt) for m in metrics]
 

@@ -1,73 +1,84 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
+Every criterion reads its rows from ``run_experiment`` on the shipped
+``configs/criterion_*.json`` that ``CONFIGS`` lists for it; each config
+runs once per session, its seeds spread over ``os.cpu_count()`` worker
+processes.  So this gate, ``scripts/calibrate.py`` and ``cubetest verify``
+compute the same rows.  The only inputs built here are the labelled
+classifier fixtures of criterion 12.
+
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
-lines.  Calibrated reference values (witness-set density, attack reject
-rates) live in ``tests/fixtures/calibration.json`` and are regenerated by
-``scripts/calibrate.py``.
+lines.  Calibrated anchors (witness-set density, attack reject rates) live
+in ``tests/fixtures/calibration.json`` and are regenerated from the same
+configs by ``scripts/calibrate.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from fractions import Fraction
+import os
 from pathlib import Path
 
 import numpy as np
-from cubetest.core import BitString, RngStream
-from cubetest.distance import (
-    count_violating_edges,
-    estimate_witness_density,
-    exact_dist_mono,
-    exact_dist_unate,
-    exhaustive_witness_density,
-    unate_dist_lower_bound,
-    witness_edge_family,
+import pytest
+from cubetest.core import BitString
+from cubetest.experiments import (
+    ExperimentConfig,
+    ResultRow,
+    _error_rows,
+    rows_to_csv,
+    run_experiment,
 )
-from cubetest.families import (
-    FlippedDnfInstance,
-    QuadrantInstance,
-    MonoInstance,
-    OneLevelInstance,
-    UnateInstance,
-)
-from cubetest.likelihood import (
-    mono_leaf_likelihood,
-    mono_leaf_likelihood_bruteforce,
-    unate_likelihood_bruteforce,
-    unate_transcript_likelihood,
-)
-from cubetest.sigoracle import (
-    ClausePattern,
-    FullSignature,
-    OutOfBandError,
-    TermPattern,
-    UnateSignature,
-    mono_full_signature,
-    onelevel_signature,
-    unate_signature,
-    value_from_mono_signature,
-    value_from_unate_signature,
-)
-from cubetest.testers import (
-    TesterConfig,
-    flipped_dnf_attack,
-    check_orientation,
-    find_good_orientation,
-    two_level_attack,
-)
+from cubetest.sigoracle import ClausePattern, FullSignature, TermPattern, UnateSignature
 from cubetest.transcripts import (
     ClassifierConfig,
     MonoTranscript,
-    UnateSignatureOracle,
+    UnateTranscript,
     classify_mono_edge,
     classify_unate_edge,
-    consistency_status,
 )
 
-FIXTURES = json.loads(
-    (Path(__file__).parent / "fixtures" / "calibration.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = json.loads((ROOT / "tests" / "fixtures" / "calibration.json").read_text())
+
+# criterion -> the configs whose rows it gates; every shipped config appears
+# exactly once (criterion 09 also reads criterion 10's no-world rows)
+CONFIGS = {
+    1: ("criterion_01_monotone_check",),
+    2: ("criterion_02_unate_check",),
+    3: ("criterion_03_signature_soundness_mono", "criterion_03_signature_soundness_unate",
+        "criterion_03_signature_soundness_onelevel"),
+    4: ("criterion_04_tuple_axioms",),
+    5: ("criterion_05_likelihood_equivalence",),
+    6: ("criterion_06_farness_estimate",),
+    7: ("criterion_07_farness_consistency",),
+    8: ("criterion_08_quadrant_farness",),
+    9: ("criterion_09_10_attack_rates_flipdnf_yes", "criterion_09_10_attack_rates_two_level_yes"),
+    10: ("criterion_09_10_attack_rates_flipdnf_no", "criterion_09_10_attack_rates_two_level_no"),
+    11: ("criterion_11_orientation_search", "criterion_11_orientation_search_size8"),
+    12: ("criterion_12_classifier_sanity",),
+}
+
+
+@functools.cache
+def _config_rows(name: str) -> tuple[ResultRow, ...]:
+    cfg = ExperimentConfig.from_json(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
+    cfg.threads = os.cpu_count() or 1
+    rows = run_experiment(cfg)
+    if failed := _error_rows(rows_to_csv(rows)):
+        pytest.fail(f"{name}: failed seeds {', '.join(failed)}")
+    return tuple(rows)
+
+
+def rows(criterion: int, metric: str) -> list[list[ResultRow]]:
+    """The ``metric`` rows of each config of ``criterion``, in table order."""
+    return [[r for r in _config_rows(name) if r.metric == metric] for name in CONFIGS[criterion]]
+
+
+def total(metric_rows: list[ResultRow]) -> int:
+    return int(sum(r.value for r in metric_rows))
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -75,77 +86,35 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def middle_point(inst, rng) -> BitString:
-    while True:
-        x = BitString.random(inst.n, rng)
-        if inst.weight_class(x) == "middle":
-            return x
+def test_every_config_is_gated_by_one_criterion():
+    shipped = sorted(p.stem for p in (ROOT / "configs").glob("criterion_*.json"))
+    assert sorted(name for names in CONFIGS.values() for name in names) == shipped
+    assert sorted(CONFIGS) == list(range(1, 13)) and all(CONFIGS.values())
 
 
 def test_criterion_01_yes_world_monotone():
-    violations = 0
-    for n, seeds in ((16, 100), (9, 100)):
-        for seed in range(seeds):
-            table = MonoInstance.sample(n, "yes", seed=seed).truth_table()
-            violations += count_violating_edges(table, n)
+    (edges,) = rows(1, "violating_edges")
+    assert len(edges) == 200 and {(r.n, r.world) for r in edges} == {(9, "yes"), (16, "yes")}
+    violations = total(edges)
     report(1, violations == 0,
            f"yes-world two-level tables: {violations} violating edges "
            "across 100 seeds at n=16 and 100 at n=9 (tolerance: exactly 0)")
 
 
 def test_criterion_02_yes_world_unate_after_deorientation():
-    violations = 0
-    for seed in range(50):
-        inst = UnateInstance.sample(16, "yes", seed=seed)
-        violations += count_violating_edges(inst.base_truth_table(), 16)
+    (edges,) = rows(2, "deoriented_violating_edges")
+    assert len(edges) == 50 and {(r.n, r.world) for r in edges} == {(16, "yes")}
+    violations = total(edges)
     report(2, violations == 0,
            f"de-oriented yes-world unateness tables: {violations} violating "
            "edges across 50 seeds at n=16 (tolerance: exactly 0)")
 
 
 def test_criterion_03_signature_soundness():
-    total = 100_000
     per_family = {}
-    rng = RngStream(303, "acceptance-soundness")
-    for family in ("mono", "unate", "onelevel"):
-        mismatches = 0
-        checked = 0
-        seed = 0
-        while checked < total:
-            seed += 1
-            world = "yes" if seed % 2 else "no"
-            if family == "mono":
-                inst = MonoInstance.sample(16, world, seed=seed)
-            elif family == "unate":
-                inst = UnateInstance.sample(16, world, seed=seed)
-            else:
-                inst = OneLevelInstance.sample(16, world, seed=seed)
-            for _ in range(1000):
-                if checked >= total:
-                    break
-                x = BitString.random(16, rng)
-                if family == "mono":
-                    if inst.weight_class(x) != "middle":
-                        continue
-                    got = value_from_mono_signature(
-                        "middle", mono_full_signature(inst, x)
-                    )
-                elif family == "unate":
-                    if inst.band_class_base(x.xor(inst.orientation)) != "middle":
-                        continue
-                    got = value_from_unate_signature(
-                        "middle", unate_signature(inst, x)
-                    )
-                else:
-                    if inst.weight_class(x) != "middle":
-                        continue
-                    got = value_from_unate_signature(
-                        "middle", onelevel_signature(inst, x)
-                    )
-                checked += 1
-                if got != inst.value(x):
-                    mismatches += 1
-        per_family[family] = mismatches
+    for name, mismatches in zip(CONFIGS[3], rows(3, "mismatches")):
+        assert sum(r.queries for r in mismatches) == 100_000
+        per_family[name.rsplit("_", 1)[1]] = total(mismatches)
     total_bad = sum(per_family.values())
     report(3, total_bad == 0,
            f"value-from-signature vs direct evaluation on 1e5 in-band "
@@ -153,87 +122,35 @@ def test_criterion_03_signature_soundness():
 
 
 def test_criterion_04_induced_tuple_axioms():
-    rng = RngStream(404, "acceptance-axioms")
-    failures = 0
-    for trial in range(10_000):
-        inst = MonoInstance.sample(16, "no" if trial % 2 else "yes", seed=trial)
-        t = MonoTranscript(16)
-        for _ in range(30):
-            x = middle_point(inst, rng)
-            t.extend(x, mono_full_signature(inst, x))
-        if t.check_axioms() or t.cross_check_instance(inst):
-            failures += 1
+    (violations,) = rows(4, "axiom_violations")
+    assert len(violations) == 10_000 and all(r.queries == 30 for r in violations)
+    failures = sum(r.value > 0 for r in violations)
     report(4, failures == 0,
            f"size chains, inclusions, and the pairwise counting bound on "
            f"1e4 random 30-query transcripts at n=16: {failures} failures "
            "(tolerance: 0)")
 
 
-def _toy_mono(seed: int) -> MonoInstance:
-    g = RngStream(seed, "acceptance-toy")
-    terms = [[g.randint0(16) for _ in range(4)] for _ in range(4)]
-    clauses = [
-        [[g.randint0(16) for _ in range(4)] for _ in range(4)] for _ in range(4)
-    ]
-    dicts = [[g.randint0(16) for _ in range(4)] for _ in range(4)]
-    return MonoInstance.from_parts(16, "no" if seed % 2 else "yes", terms, clauses, dicts)
-
-
 def test_criterion_05_likelihood_oracle_equivalence():
-    rng = RngStream(505, "acceptance-likelihood")
-    worst = 0.0
-    checked = 0
-    seed = 0
-    while checked < 100:  # 100 two-level + 100 unateness transcripts below
-        seed += 1
-        inst = _toy_mono(seed)
-        t = MonoTranscript(16)
-        for _ in range(12):
-            x = middle_point(inst, rng)
-            t.extend(x, mono_full_signature(inst, x))
-        if any(consistency_status(t, i, j) == "inconsistent" for (i, j) in t.rho):
-            continue
-        closed = mono_leaf_likelihood(inst, t)
-        brute = mono_leaf_likelihood_bruteforce(inst, t)
-        for a, b in ((closed.p_yes, brute.p_yes), (closed.p_no, brute.p_no)):
-            if a != 0 or b != 0:
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-        checked += 1
-    for seed in range(100):
-        inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
-        oracle = UnateSignatureOracle(inst)
-        g = RngStream(seed, "acceptance-unate-grow")
-        added, tries = 0, 0
-        while added < 10 and tries < 1000:
-            tries += 1
-            try:
-                oracle.query(BitString.random(16, g))
-                added += 1
-            except OutOfBandError:
-                continue
-        closed = unate_transcript_likelihood(inst, oracle.transcript, mode="exhaustive")
-        brute = unate_likelihood_bruteforce(inst, oracle.transcript)
-        for a, b in ((closed.p_yes, brute.p_yes), (closed.p_no, brute.p_no)):
-            if a != 0 or b != 0:
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    # every seed compares its unateness transcript, and its two-level one
+    # when that is consistent
+    (errors,) = rows(5, "max_rel_err")
+    (mono,) = rows(5, "mono_compared")
+    assert total(mono) >= 100 and len(errors) >= 100
+    worst = max(r.value for r in errors)
     report(5, worst <= 1e-12,
            f"closed forms vs exhaustive hidden-randomness enumeration on "
-           f"200 toy transcripts: worst relative error {worst:.2e} "
+           f"{total(mono) + len(errors)} toy transcripts: worst relative error {worst:.2e} "
            "(tolerance: 1e-12)")
 
 
 def test_criterion_06_witness_set_density():
-    means = []
-    ok = True
-    for seed in range(20):
-        inst = MonoInstance.sample(16, "no", seed=seed)
-        exact = exhaustive_witness_density(inst)
-        est = estimate_witness_density(inst, 100_000, RngStream(seed, "acceptance-witness-mc"))
-        sigma = max(est.ci_halfwidth / 1.96, 1e-6)
-        if abs(est.estimate - exact) > 3 * sigma:
-            ok = False
-        means.append(exact)
-    mean = float(np.mean(means))
+    (exact,) = rows(6, "exhaustive_pr")
+    (mc,) = rows(6, "mc_pr")
+    assert len(mc) == 20 and all(r.queries == 100_000 for r in mc)
+    exact_of = {r.seed: r.value for r in exact}
+    ok = all(abs(r.value - exact_of[r.seed]) <= 3 * max(r.ci / 1.96, 1e-6) for r in mc)
+    mean = float(np.mean([r.value for r in exact]))
     pinned = FIXTURES["witness_density_mean_n16"]
     drift_ok = abs(mean - pinned) <= 0.2 * pinned
     report(6, ok and drift_ok,
@@ -243,21 +160,12 @@ def test_criterion_06_witness_set_density():
 
 
 def test_criterion_07_farness_consistency_n14():
-    positives = 0
-    bounded = 0
-    for seed in range(10):
-        inst = MonoInstance.sample(14, "no", seed=seed, term_len=4)
-        fam = witness_edge_family(inst)
-        used = set()
-        for x, y in fam:
-            assert x.bits not in used and y.bits not in used
-            used.update((x.bits, y.bits))
-        density = Fraction(len(fam), 1 << 14)
-        dist = exact_dist_mono(inst.truth_table(), 14)
-        if density <= dist:
-            bounded += 1
-        if dist > 0:
-            positives += 1
+    # the body fails a seed whose witness edges overlap
+    (bound_ok,) = rows(7, "lower_bound_ok")
+    (dist,) = rows(7, "exact_dist")
+    assert len(dist) == 10 and {r.n for r in dist} == {14}
+    bounded = total(bound_ok)
+    positives = sum(r.value > 0 for r in dist)
     report(7, bounded == 10 and positives == 10,
            f"disjoint witness family density lower-bounds the exact distance "
            f"for {bounded}/10 no-world seeds at n=14, distance positive for "
@@ -265,18 +173,11 @@ def test_criterion_07_farness_consistency_n14():
 
 
 def test_criterion_08_quadrant_family_farness():
-    n = 6
-    all_ok = True
-    lb_ok = True
-    for i in range(n):
-        inst = QuadrantInstance(n, i)
-        table = inst.truth_table()
-        lb = unate_dist_lower_bound(table)
-        dist = exact_dist_unate(table, cap=n + 2)
-        if dist < Fraction(1, 8):
-            all_ok = False
-        if lb != Fraction(1, 8):
-            lb_ok = False
+    (lower,) = rows(8, "lower_bound")
+    (dist,) = rows(8, "exact_dist_unate")
+    assert len(dist) == 6 and {r.n for r in dist} == {6}
+    all_ok = all(r.value >= 1 / 8 for r in dist)
+    lb_ok = all(r.value == 1 / 8 for r in lower)
     report(8, all_ok and lb_ok,
            "four-quadrant family at n=6: exact unate distance >= 1/8 for "
            "every special index and the directional lower bound equals 1/8 "
@@ -284,58 +185,28 @@ def test_criterion_08_quadrant_family_farness():
 
 
 def test_criterion_09_attacks_one_sided():
-    yes_rejects = 0
-    for seed in range(200):
-        inst = FlippedDnfInstance.sample(100, "yes", seed=seed)
-        v = flipped_dnf_attack(inst.value, 100, TesterConfig(q=FIXTURES["flipdnf_budget"], seed=seed))
-        yes_rejects += v.decision == "reject"
-    for seed in range(200):
-        inst = MonoInstance.sample(100, "yes", seed=seed)
-        v = two_level_attack(
-            inst.value, 100, TesterConfig(q=FIXTURES["two_level_budget"], seed=seed)
-        )
-        yes_rejects += v.decision == "reject"
-    bad_witness = 0
-    for seed in range(100):
-        inst = MonoInstance.sample(100, "no", seed=seed)
-        v = two_level_attack(
-            inst.value, 100, TesterConfig(q=FIXTURES["two_level_budget"], seed=seed)
-        )
-        if v.decision == "reject":
-            w = v.witness
-            if not (
-                w.lower.precedes(w.upper)
-                and inst.value(w.lower) == 1
-                and inst.value(w.upper) == 0
-            ):
-                bad_witness += 1
+    yes_runs = [r for config in rows(9, "reject") for r in config]
+    assert len(yes_runs) == 400 and {r.world for r in yes_runs} == {"yes"}
+    yes_rejects = total(yes_runs)
+    # the witnesses of criterion 10's no-world runs (witness_ok is 1 without one)
+    witnesses = sum(r.value for config in rows(10, "reject") for r in config)
+    assert witnesses >= 100
+    bad_witness = sum(r.value == 0 for config in rows(10, "witness_ok") for r in config)
     report(9, yes_rejects == 0 and bad_witness == 0,
-           f"one-sidedness: {yes_rejects} rejects over 400 yes-world runs; "
+           f"one-sidedness: {yes_rejects} rejects over {len(yes_runs)} yes-world runs; "
            f"{bad_witness} unverifiable witnesses among no-world rejects "
            "(tolerance: exactly 0)")
 
 
 def test_criterion_10_attack_effectiveness():
-    runs = FIXTURES["attack_runs"]
-    results = {}
-    for name, fam, attack, q in (
-        ("flipdnf", FlippedDnfInstance, flipped_dnf_attack, FIXTURES["flipdnf_budget"]),
-        ("two_level", MonoInstance, two_level_attack, FIXTURES["two_level_budget"]),
-    ):
-        rejects = 0
-        for seed in range(runs):
-            inst = fam.sample(100, "no", seed=seed)
-            v = attack(inst.value, 100, TesterConfig(q=q, seed=seed))
-            rejects += v.decision == "reject"
-        results[name] = rejects
+    flipdnf, two_level = rows(10, "reject")
+    assert len(flipdnf) == len(two_level) == 1000
+    assert {r.world for r in flipdnf + two_level} == {"no"}
+    runs = len(flipdnf)
+    results = {"flipdnf": total(flipdnf), "two_level": total(two_level)}
     ok = all(r >= 20 for r in results.values())
-    drift_ok = True
-    for name, key in (("flipdnf", "flipdnf_no_reject_rate_n100"),
-                      ("two_level", "two_level_no_reject_rate_n100")):
-        pinned = FIXTURES[key]
-        rate = results[name] / runs
-        if abs(rate - pinned) > 0.5 * pinned:
-            drift_ok = False
+    pinned = {name: FIXTURES[f"{name}_no_reject_rate_n100"] for name in results}
+    drift_ok = all(abs(results[k] / runs - pinned[k]) <= 0.5 * pinned[k] for k in results)
     report(10, ok and drift_ok,
            f"no-world reject counts over {runs} runs at n=100: {results} "
            f"(threshold: >= 20 each; regression band: 50% around pinned "
@@ -344,139 +215,70 @@ def test_criterion_10_attack_effectiveness():
 
 
 def test_criterion_11_orientation_search():
-    n = 64
-    size = max(1, math.floor(n / math.log2(n) ** 2))
-    successes = 0
-    all_valid = True
-    for seed in range(100):
-        g = RngStream(seed, "acceptance-orientation")
-        pts = [BitString.random(n, g) for _ in range(size)]
-        try:
-            r, tries = find_good_orientation(pts, g, max_tries=200)
-            successes += 1
-            if not check_orientation(pts, r, n):
-                all_valid = False
-        except Exception:
-            pass
-    # the stated size is degenerate at n=64; exercise a harder size too
-    harder_ok = 0
-    for seed in range(100):
-        g = RngStream(1000 + seed, "acceptance-orientation")
-        pts = [BitString.random(n, g) for _ in range(8)]
-        try:
-            r, _ = find_good_orientation(pts, g, max_tries=200)
-            if check_orientation(pts, r, n):
-                harder_ok += 1
-        except Exception:
-            pass
+    stated, size8 = rows(11, "found")
+    stated_ok, size8_ok = rows(11, "found_and_valid")
+    assert len(stated) == len(size8) == 100 and {r.n for r in stated + size8} == {64}
+    size = max(1, math.floor(64 / math.log2(64) ** 2))
+    successes = total(stated)
+    all_valid = all(ok.value == found.value for ok, found in zip(stated_ok, stated))
+    # the stated size is degenerate at n=64; the second config uses size 8
+    harder_ok = total(size8_ok)
     report(11, successes >= 99 and all_valid and harder_ok >= 99,
            f"orientation search at n=64: {successes}/100 found within 200 "
            f"tries at query-set size {size} (threshold: >= 99), every "
            f"returned orientation re-verified; size-8 sets: {harder_ok}/100")
 
 
-def _mono_fixture_cases():
-    """Hand-crafted transcripts labeled with their expected edge class."""
+def _fixture_cases():
+    """Hand-written transcripts labelled with their expected edge class, as
+    (label, classifier, transcript, the classifier's other arguments)."""
     n = 16
+    p = lambda *ones: BitString.from_indices(n, ones)
+    c5 = ClausePattern("unique", 5)
+    u = lambda clause=None, a=None: FullSignature(
+        TermPattern("unique", 3), clause or ClausePattern("all_one"), a, None
+    )
+    us = lambda i, a: UnateSignature(TermPattern("unique", i), a=a)
+
+    def mono(x, sig):
+        t = MonoTranscript(n)
+        t.extend(x, sig)
+        return t
+
+    def unate(*prior):
+        t = UnateTranscript(n, range(8))
+        for x, sig, reveal in prior:
+            t.extend(x, sig, reveal=reveal)
+        return t
+
     loose = ClassifierConfig(n, alpha=4.0, mono_drop_threshold=4)
     std = ClassifierConfig(n, alpha=4.0)
-
-    def mk(prior, x, sig, cfg, want):
-        t = MonoTranscript(n)
-        for px, psig in prior:
-            t.extend(px, psig)
-        return (t, x, sig, cfg, want)
-
-    p = lambda ones: BitString.from_indices(n, ones)
-    u = lambda i, cl=None, a=None, b=None: FullSignature(
-        TermPattern("unique", i), cl if cl else ClausePattern("all_one"), a, b
-    )
-    cases = [
-        mk(
-            [(p([0, 1, 2, 3, 4, 5, 6, 7]), u(3))],
-            p([0, 8, 9, 10, 11, 12, 13, 14]), u(3), loose, "E1",
-        ),
-        mk(
-            [(p([0, 1, 2, 3]), u(3, ClausePattern("unique", 5), 0))],
-            p([0, 1, 2, 3, 8, 9, 10, 11, 12]),
-            u(3, ClausePattern("unique", 5), 0), loose, "E2",
-        ),
-        mk(
-            [(p([0, 1, 2, 3]), u(3, ClausePattern("unique", 5), 0))],
-            p([0, 1, 2, 4]), u(3, ClausePattern("unique", 5), 1), std, "E3",
-        ),
-        mk(
-            [(p([0, 1, 2, 3]), u(3, ClausePattern("unique", 5), 1))],
-            p([0, 1, 2, 4]), u(3, ClausePattern("unique", 5), 0), std, "E4",
-        ),
+    return [
+        ("E1", classify_mono_edge, mono(p(*range(8)), u()), (p(0, *range(8, 15)), u(), loose)),
+        ("E2", classify_mono_edge, mono(p(0, 1, 2, 3), u(c5, 0)),
+         (p(0, 1, 2, 3, *range(8, 13)), u(c5, 0), loose)),
+        ("E3", classify_mono_edge, mono(p(0, 1, 2, 3), u(c5, 0)), (p(0, 1, 2, 4), u(c5, 1), std)),
+        ("E4", classify_mono_edge, mono(p(0, 1, 2, 3), u(c5, 1)), (p(0, 1, 2, 4), u(c5, 0), std)),
+        # unateness E1: wide disagreement on a safe term's agreement set
+        ("E1", classify_unate_edge, unate((p(0, 1, 2, 8, 9), us(0, 1), {})),
+         (p(0, 3, 4, 10, 11, 12), us(0, 1), {}, ClassifierConfig(n, unate_drop_threshold=6))),
+        # E2: breach count passes the (sub-1 at n=16) cap on first breach
+        ("E2", classify_unate_edge, unate((p(0, 8), us(0, 1), {})),
+         (p(0), us(0, 0), {0: 8}, ClassifierConfig(n))),
+        # E3: two breached terms share a special variable under a raised cap
+        ("E3", classify_unate_edge,
+         unate((p(0, 8), us(0, 1), {}), (p(0), us(0, 0), {0: 8}), (p(1, 8), us(1, 0), {})),
+         (p(1), us(1, 1), {1: 8}, ClassifierConfig(n, breach_count_cap=5))),
     ]
-    return cases
-
-
-def _unate_fixture_cases():
-    n = 16
-    p = lambda ones: BitString.from_indices(n, ones)
-
-    cases = []
-    # E1: wide disagreement on a safe term's agreement set
-    cfg1 = ClassifierConfig(n, unate_drop_threshold=6)
-    from cubetest.transcripts import UnateTranscript
-
-    t1 = UnateTranscript(n, range(8))
-    t1.extend(p([0, 1, 2, 8, 9]), UnateSignature(TermPattern("unique", 0), a=1), reveal={})
-    cases.append((t1, p([0, 3, 4, 10, 11, 12]),
-                  UnateSignature(TermPattern("unique", 0), a=1), {}, cfg1, "E1"))
-
-    # E2: breach count passes the (sub-1 at n=16) cap on first breach
-    cfg2 = ClassifierConfig(n)
-    t2 = UnateTranscript(n, range(8))
-    t2.extend(p([0, 8]), UnateSignature(TermPattern("unique", 0), a=1), reveal={})
-    cases.append((t2, p([0]),
-                  UnateSignature(TermPattern("unique", 0), a=0), {0: 8}, cfg2, "E2"))
-
-    # E3: two breached terms share a special variable under a raised cap
-    cfg3 = ClassifierConfig(n, breach_count_cap=5)
-    t3 = UnateTranscript(n, range(8))
-    t3.extend(p([0, 8]), UnateSignature(TermPattern("unique", 0), a=1), reveal={})
-    t3.extend(p([0]), UnateSignature(TermPattern("unique", 0), a=0), reveal={0: 8})
-    t3.extend(p([1, 8]), UnateSignature(TermPattern("unique", 1), a=0), reveal={})
-    cases.append((t3, p([1]),
-                  UnateSignature(TermPattern("unique", 1), a=1), {1: 8}, cfg3, "E3"))
-    return cases
 
 
 def test_criterion_12_classifier_sanity():
-    rng = RngStream(1212, "acceptance-classifier")
-    cfg = ClassifierConfig(16, alpha=4.0)
-    unsound_e3 = 0
-    for trial in range(1000):
-        inst = MonoInstance.sample(16, "yes", seed=trial)
-        t = MonoTranscript(16)
-        for _ in range(30):
-            x = middle_point(inst, rng)
-            sig = mono_full_signature(inst, x)
-            edge = classify_mono_edge(t, x, sig, cfg)
-            if edge.kind == "E3":
-                i, j = edge.i, edge.j
-                genuine = (
-                    consistency_status(t, i, j) == "zero_consistent"
-                    and (sig.a if j == sig.clause.first else sig.b) == 1
-                )
-                if not genuine:
-                    unsound_e3 += 1
-            if edge.kind is not None and t.bad_edge is None:
-                t.bad_edge = edge
-            t.extend(x, sig)
+    (false_e3,) = rows(12, "false_e3")
+    assert len(false_e3) == 1000 and all(r.queries == 30 for r in false_e3)
+    unsound_e3 = total(false_e3)
 
-    fixture_fail = []
-    for t, x, sig, cfg_c, want in _mono_fixture_cases():
-        got = classify_mono_edge(t, x, sig, cfg_c)
-        if got.kind != want:
-            fixture_fail.append((want, got.kind))
-    for t, x, sig, reveal, cfg_c, want in _unate_fixture_cases():
-        got = classify_unate_edge(t, x, sig, reveal, cfg_c)
-        if got.kind != want:
-            fixture_fail.append((want, got.kind))
+    fixture_fail = [(want, got.kind) for want, classify, t, args in _fixture_cases()
+                    if (got := classify(t, *args)).kind != want]
 
     report(12, unsound_e3 == 0 and not fixture_fail,
            f"classifier sanity: {unsound_e3} unsound E3 reports over 1000 "

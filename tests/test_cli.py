@@ -159,6 +159,21 @@ class TestDistanceCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"capped at n={cap}" in err
 
+    @pytest.mark.parametrize("mode", ["witness-exhaustive", "witness-estimate"])
+    @pytest.mark.parametrize(
+        "family, world, reason",
+        [("mono", "yes", "no-world"), ("unate", "no", "two-level")],
+    )
+    def test_witness_needs_a_no_world_mono_file(
+        self, tmp_path, capsys, mode, family, world, reason
+    ):
+        inst = tmp_path / "inst.json"
+        run_cli("sample", "--family", family, "--n", "16", "--world", world,
+                "--seed", "1", "--out", str(inst))
+        assert run_cli("distance", "--instance", str(inst), "--mode", mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+
 
 class TestExperimentRoundtrip:
     def cfg(self) -> ExperimentConfig:

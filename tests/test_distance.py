@@ -141,6 +141,22 @@ class TestWitnessEdges:
         with pytest.raises(ValueError, match="no-world"):
             witness_edge_at(inst, BitString.from_indices(16, range(8)))
 
+    @pytest.mark.parametrize(
+        "scan",
+        [witness_edge_family, exhaustive_witness_density,
+         lambda inst: estimate_witness_density(inst, 10)],
+        ids=["family", "exhaustive", "estimate"],
+    )
+    @pytest.mark.parametrize(
+        "inst, reason",
+        [(MonoInstance.sample(16, "yes", seed=1), "no-world"),
+         (UnateInstance.sample(16, "no", seed=1), "two-level")],
+        ids=["mono-yes", "unate-no"],
+    )
+    def test_scans_need_a_no_world_mono_instance(self, scan, inst, reason):
+        with pytest.raises(ValueError, match=reason):
+            scan(inst)
+
     def test_witnesses_reverify(self):
         for s in range(5):
             inst = MonoInstance.sample(16, "no", seed=s)
