@@ -65,7 +65,7 @@ def _instance_dimension(inst) -> int:
 
 
 def _cmd_sample(args, parser) -> int:
-    inst = sample_instance(args.family, args.n, args.world, args.seed, storage=args.storage)
+    inst = sample_instance(args.family, args.n, args.world, args.seed)
     text = _dump_json(inst.to_json())
     if args.out:
         Path(args.out).write_text(text)
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--world", choices=["yes", "no"], default="yes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--storage", choices=["lazy", "explicit"], default="lazy")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sample)
 

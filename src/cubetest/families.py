@@ -20,16 +20,16 @@ Five families are implemented, all reproducible from a 64-bit seed:
 * :class:`QuadrantInstance` -- the four-quadrant function on ``n+2`` coordinates
   used for one-sided non-adaptive unateness experiments.
 
-Instances are immutable after sampling (lazy derivation caches are
+Instances are immutable after sampling (the two-level row store is
 internal memoization only); evaluation is a pure function of the query, so
 parallel query evaluation is safe.
 
-Storage: ``lazy`` instances derive terms, clauses, and dictators on demand
-from ``(seed, role, index)`` via counter-based generators, which is what
-makes dimensions with ``N**2`` clause cells feasible; ``explicit``
-instances materialize every array (and serialize them).  Both storages
-derive each object through the same keyed generator, so they agree bit for
-bit for equal seeds.
+Two-level rows: a sampled :class:`MonoInstance` derives each clause block
+and dictator row from ``(seed, role, index)`` via counter-based generators
+the first time it is asked for, which is what makes dimensions with
+``N**2`` clause cells feasible; a miss derives only the row asked for, so
+the order of queries never changes a row.  A hand-built one
+(``from_parts``, the ``explicit`` JSON form) starts with every row pinned.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 TABLE_CAP = 20  # largest dimension for explicit truth tables (2**20 entries)
-EXPLICIT_CELL_CAP = 1 << 22  # largest N**2 for explicit two-level storage
 
 _WORLDS = ("yes", "no")
 
@@ -75,6 +74,17 @@ def _check_world(world: str) -> str:
 
 def _is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
+
+
+def _check_indices(n: int, *parts) -> None:
+    """Raise ``ValueError`` unless every variable index in ``parts`` (arrays
+    or index lists) lies in ``[0, n)``; a 0 or an ``n + 1`` in a 1-based
+    instance file lands outside it."""
+    for part in parts:
+        a = np.asarray(part, dtype=np.int64)
+        if a.size and (a.min() < 0 or a.max() >= n):
+            bad = a[(a < 0) | (a >= n)].flat[0]
+            raise ValueError(f"variable index {bad} out of range [0, {n}) (1..{n} in files)")
 
 
 def _require_table_cap(n: int) -> None:
@@ -251,8 +261,13 @@ class MonoInstance:
 
     ``n`` must normally be a perfect square; ``term_len`` may be passed
     explicitly to run the family at other dimensions (the truncation band
-    still uses the real square root).  ``N = 2**term_len`` terms and
-    ``N**2`` clauses are derived lazily per index.
+    still uses the real square root).  There are ``N = 2**term_len`` terms
+    and ``N**2`` clauses.
+
+    Term ``i`` owns two rows, its ``N x m`` clause block and its ``N``
+    dictator variables, held in one store keyed by ``(role, i)``.  A
+    sampled instance derives a row from ``(seed, role, i)`` the first time
+    it is asked for; a hand-built instance starts with every row pinned.
     """
 
     family = "mono"
@@ -264,21 +279,21 @@ class MonoInstance:
         *,
         terms: np.ndarray,
         seed: int | None = None,
-        storage: str = "lazy",
         clauses: np.ndarray | None = None,
         dictators: np.ndarray | None = None,
     ):
         self.n = n
         self.world = _check_world(world)
         self.seed = seed
-        self.storage = storage
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
-        self._clauses = clauses  # (N, N, m) when explicit
-        self._dictators = dictators  # (N, N) variable indices when explicit
-        self._clause_cache: dict[int, np.ndarray] = {}
-        self._dict_cache: dict[int, np.ndarray] = {}
+        self._pinned = clauses is not None
+        self._rows: dict[tuple[str, int], np.ndarray] = {}
+        if self._pinned:
+            for i in range(self.N):
+                self._rows["clauses", i] = clauses[i]
+                self._rows["dict", i] = dictators[i]
         sq = math.sqrt(n)
         self.band_low = n / 2 - sq
         self.band_high = n / 2 + sq
@@ -288,12 +303,7 @@ class MonoInstance:
 
     @classmethod
     def sample(
-        cls,
-        n: int,
-        world: str,
-        seed: int,
-        storage: str = "lazy",
-        term_len: int | None = None,
+        cls, n: int, world: str, seed: int, term_len: int | None = None
     ) -> "MonoInstance":
         if n < 9:
             raise ValueError(f"n must be at least 9, got {n}")
@@ -301,23 +311,10 @@ class MonoInstance:
             if not _is_square(n):
                 raise ValueError("n must be a perfect square")
             term_len = math.isqrt(n)
-        if storage not in ("lazy", "explicit"):
-            raise ValueError(f"unknown storage {storage!r}")
-        N = 1 << term_len
-        if storage == "explicit" and N * N > EXPLICIT_CELL_CAP:
-            raise ResourceLimitError(
-                f"explicit storage holds N**2={N * N} cells; cap is {EXPLICIT_CELL_CAP}"
-            )
         terms = derive_generator(seed, "mono", "terms").integers(
-            0, n, size=(N, term_len), dtype=np.int32
+            0, n, size=(1 << term_len, term_len), dtype=np.int32
         )
-        inst = cls(n, world, terms=terms, seed=seed, storage=storage)
-        if storage == "explicit":
-            clauses = np.stack([inst._derive_clause_block(i) for i in range(N)])
-            dicts = np.stack([inst._derive_dict_row(i) for i in range(N)])
-            inst._clauses = clauses
-            inst._dictators = dicts
-        return inst
+        return cls(n, world, terms=terms, seed=seed)
 
     @classmethod
     def from_parts(
@@ -327,6 +324,7 @@ class MonoInstance:
         terms: Sequence[Sequence[int]],
         clauses: Sequence[Sequence[Sequence[int]]],
         dictators: Sequence[Sequence[int]],
+        seed: int | None = None,
     ) -> "MonoInstance":
         """Hand-built instance from explicit 0-based pieces.
 
@@ -338,38 +336,27 @@ class MonoInstance:
         d = np.asarray(dictators, dtype=np.int32)
         if c.shape[:2] != (t.shape[0], t.shape[0]) or d.shape != c.shape[:2]:
             raise ValueError("clauses must be N x N x m and dictators N x N")
-        return cls(n, world, terms=t, storage="explicit", clauses=c, dictators=d)
+        _check_indices(n, t, c, d)
+        return cls(n, world, terms=t, seed=seed, clauses=c, dictators=d)
 
-    # -- derived pieces -----------------------------------------------------
+    # -- per-term rows ------------------------------------------------------
 
-    def _derive_clause_block(self, i: int) -> np.ndarray:
-        return derive_generator(self.seed, "mono", "clauses", i).integers(
-            0, self.n, size=(self.N, self.m), dtype=np.int32
+    def _derive(self, role: str, i: int, size) -> np.ndarray:
+        row = derive_generator(self.seed, "mono", role, i).integers(
+            0, self.n, size=size, dtype=np.int32
         )
-
-    def _derive_dict_row(self, i: int) -> np.ndarray:
-        return derive_generator(self.seed, "mono", "dict", i).integers(
-            0, self.n, size=self.N, dtype=np.int32
-        )
+        self._rows[role, i] = row
+        return row
 
     def clause_block(self, i: int) -> np.ndarray:
         """The ``N x m`` variable indices of clauses gated by term ``i``."""
-        if self._clauses is not None:
-            return self._clauses[i]
-        blk = self._clause_cache.get(i)
-        if blk is None:
-            blk = self._derive_clause_block(i)
-            self._clause_cache[i] = blk
-        return blk
+        blk = self._rows.get(("clauses", i))
+        return self._derive("clauses", i, (self.N, self.m)) if blk is None else blk
 
     def dict_row(self, i: int) -> np.ndarray:
-        if self._dictators is not None:
-            return self._dictators[i]
-        row = self._dict_cache.get(i)
-        if row is None:
-            row = self._derive_dict_row(i)
-            self._dict_cache[i] = row
-        return row
+        """The ``N`` dictator variables of the cells of term ``i``."""
+        row = self._rows.get(("dict", i))
+        return self._derive("dict", i, self.N) if row is None else row
 
     def term(self, i: int) -> Term:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
@@ -466,9 +453,9 @@ class MonoInstance:
             "term_len": self.m,
             "world": self.world,
             "seed": self.seed,
-            "storage": self.storage,
+            "storage": "explicit" if self._pinned else "lazy",  # the format marker
         }
-        if self.storage == "explicit":
+        if self._pinned:
             obj["terms"] = (self._terms + 1).tolist()
             obj["clauses"] = np.stack(
                 [self.clause_block(i) + 1 for i in range(self.N)]
@@ -482,24 +469,10 @@ class MonoInstance:
     def from_json(cls, obj: dict) -> "MonoInstance":
         if obj["storage"] == "lazy":
             return cls.sample(
-                obj["n"],
-                obj["world"],
-                obj["seed"],
-                storage="lazy",
-                term_len=obj.get("term_len"),
+                obj["n"], obj["world"], obj["seed"], term_len=obj.get("term_len")
             )
-        terms = np.asarray(obj["terms"], dtype=np.int32) - 1
-        clauses = np.asarray(obj["clauses"], dtype=np.int32) - 1
-        dicts = np.asarray(obj["dictators"], dtype=np.int32) - 1
-        return cls(
-            obj["n"],
-            obj["world"],
-            terms=terms,
-            seed=obj.get("seed"),
-            storage="explicit",
-            clauses=clauses,
-            dictators=dicts,
-        )
+        parts = (np.asarray(obj[k], dtype=np.int32) - 1 for k in ("terms", "clauses", "dictators"))
+        return cls.from_parts(obj["n"], obj["world"], *parts, seed=obj.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +529,16 @@ class FlippedDnfInstance:
 
     @classmethod
     def from_parts(
-        cls, n: int, world: str, terms: Sequence[Sequence[int]], flip: Iterable[int]
+        cls,
+        n: int,
+        world: str,
+        terms: Sequence[Sequence[int]],
+        flip: Iterable[int],
+        seed: int | None = None,
     ) -> "FlippedDnfInstance":
-        return cls(
-            n,
-            world,
-            terms=np.asarray(terms, dtype=np.int32),
-            flip_set=IndexSet(n, flip),
-        )
+        t = np.asarray(terms, dtype=np.int32)
+        _check_indices(n, t)  # IndexSet checks the flip set
+        return cls(n, world, terms=t, flip_set=IndexSet(n, flip), seed=seed)
 
     def term(self, i: int) -> Term:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
@@ -606,11 +581,11 @@ class FlippedDnfInstance:
         # older files carry this key; only its default (false) is implemented
         if obj.get("truncate_after_flip", False):
             raise ValueError("truncate_after_flip is no longer supported")
-        return cls(
+        return cls.from_parts(
             obj["n"],
             obj["world"],
-            terms=np.asarray(obj["terms"], dtype=np.int32) - 1,
-            flip_set=IndexSet.from_json(obj["flip_set"]),
+            np.asarray(obj["terms"], dtype=np.int32) - 1,
+            IndexSet.from_json(obj["flip_set"]),
             seed=obj.get("seed"),
         )
 
@@ -665,7 +640,6 @@ class UnateInstance:
         self.n = n
         self.world = _check_world(world)
         self.seed = seed
-        self.storage = "explicit"
         self.M_sorted = np.ascontiguousarray(m_sorted, dtype=np.int32)
         self.M = frozenset(int(i) for i in m_sorted)
         self.Mbar_sorted = _complement(n, self.M_sorted).astype(np.int32)
@@ -745,21 +719,23 @@ class UnateInstance:
         n: int,
         world: str,
         m_members: Iterable[int],
-        terms: Sequence[Iterable[int]],
+        terms: Sequence[Sequence[int]],
         dictators: Sequence[tuple[int, bool]],
         r_bits: Sequence[int] | None = None,
         s_bits: Sequence[int] | None = None,
+        seed: int | None = None,
     ) -> "UnateInstance":
         m_sorted = np.asarray(sorted(m_members), dtype=np.int32)
         half = len(m_sorted)
         dv = np.asarray([d[0] for d in dictators], dtype=np.int32)
+        _check_indices(n, m_sorted, dv, *terms)
         if np.isin(dv, m_sorted).any():
             raise ValueError("dictator variables must lie outside M")
         neg = np.asarray([bool(d[1]) for d in dictators], dtype=bool)
         rb = np.zeros(half, np.uint8) if r_bits is None else np.asarray(r_bits)
         sb = np.zeros(n - half, np.uint8) if s_bits is None else np.asarray(s_bits)
         return cls._oriented(
-            n, world, m_sorted, _term_masks(n, terms), dv, neg, rb, sb, None
+            n, world, m_sorted, _term_masks(n, terms), dv, neg, rb, sb, seed
         )
 
     def term(self, i: int) -> Term:
@@ -867,11 +843,8 @@ class UnateInstance:
             [(d["index"] - 1, d["negated"]) for d in obj["dictators"]],
             r_bits=obj["r_bits"],
             s_bits=obj["s_bits"],
-        )._with_seed(obj.get("seed"))
-
-    def _with_seed(self, seed) -> "UnateInstance":
-        self.seed = seed
-        return self
+            seed=obj.get("seed"),
+        )
 
 
 class OneLevelInstance(UnateInstance):
@@ -925,11 +898,17 @@ class OneLevelInstance(UnateInstance):
         cls,
         n: int,
         world: str,
-        terms: Sequence[Iterable[int]],
+        terms: Sequence[Sequence[int]],
         dict_vars: Sequence[int],
+        seed: int | None = None,
     ) -> "OneLevelInstance":
+        _check_indices(n, dict_vars, *terms)
         return cls(
-            n, world, term_masks=_term_masks(n, terms), dict_vars=np.asarray(dict_vars)
+            n,
+            world,
+            term_masks=_term_masks(n, terms),
+            dict_vars=np.asarray(dict_vars),
+            seed=seed,
         )
 
     def to_json(self) -> dict:
@@ -946,7 +925,8 @@ class OneLevelInstance(UnateInstance):
             obj["world"],
             [[v - 1 for v in t] for t in obj["terms"]],
             [d - 1 for d in obj["dictators"]],
-        )._with_seed(obj.get("seed"))
+            seed=obj.get("seed"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1016,15 +996,14 @@ _FAMILIES = {
 }
 
 
-def sample_instance(family: str, n: int, world: str, seed: int, **mono_options):
-    """Sample any family by name.  ``mono_options`` (``storage``,
-    ``term_len``) reach only :meth:`MonoInstance.sample`; the four-quadrant
-    family has no worlds."""
+def sample_instance(family: str, n: int, world: str, seed: int, term_len: int | None = None):
+    """Sample any family by name.  ``term_len`` reaches only
+    :meth:`MonoInstance.sample`; the four-quadrant family has no worlds."""
     cls = _FAMILIES[family]
     if cls is QuadrantInstance:
         return cls.sample(n, seed)
     if cls is MonoInstance:
-        return cls.sample(n, world, seed, **mono_options)
+        return cls.sample(n, world, seed, term_len=term_len)
     return cls.sample(n, world, seed)
 
 

@@ -71,20 +71,17 @@ class CountingOracle:
 
 @dataclass
 class TesterConfig:
-    """Budget, distance parameter, seed, and per-stage size overrides."""
+    """Budget, seed, and per-stage size overrides."""
 
     __test__ = False  # not a pytest collection target
 
     q: int
-    eps: float = 0.125
     seed: int = 0
     stage_overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"query budget must be >= 1, got {self.q}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0,1), got {self.eps}")
 
     def stage(self, name: str, default: int) -> int:
         return int(self.stage_overrides.get(name, default))

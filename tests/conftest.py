@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from cubetest.core import BitString, RngStream
-from cubetest.families import MonoInstance
+from cubetest.families import (
+    FlippedDnfInstance,
+    MonoInstance,
+    OneLevelInstance,
+    UnateInstance,
+)
 
 
 def make_handbuilt_mono(world: str = "no") -> MonoInstance:
@@ -32,6 +38,46 @@ def make_handbuilt_mono(world: str = "no") -> MonoInstance:
         clauses.append(row)
     dictators = [[13] * N for _ in range(N)]
     return MonoInstance.from_parts(n, world, terms, clauses, dictators)
+
+
+@st.composite
+def handbuilt_instance(draw):
+    """A hand-built instance at n <= 12 of one of four families, with
+    duplicate members and (single-level) empty terms allowed."""
+    n = draw(st.integers(4, 12))
+    world = draw(st.sampled_from(["yes", "no"]))
+    var = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["mono", "flipdnf", "onelevel", "unate"]))
+    N = draw(st.integers(1, 5))
+    if kind == "mono":
+        m = draw(st.integers(1, 4))
+        vec = st.lists(var, min_size=m, max_size=m)
+        row = st.lists(vec, min_size=N, max_size=N)
+        return MonoInstance.from_parts(
+            n, world,
+            draw(row),
+            draw(st.lists(row, min_size=N, max_size=N)),
+            draw(st.lists(st.lists(var, min_size=N, max_size=N), min_size=N, max_size=N)),
+        )
+    if kind == "flipdnf":
+        m = draw(st.integers(1, 4))
+        terms = draw(st.lists(st.lists(var, min_size=m, max_size=m), min_size=N, max_size=N))
+        flip = draw(st.lists(var, max_size=3)) if world == "no" else []
+        return FlippedDnfInstance.from_parts(n, world, terms, flip)
+    if kind == "onelevel":
+        terms = draw(st.lists(st.lists(var, max_size=4), min_size=N, max_size=N))
+        dicts = draw(st.lists(var, min_size=N, max_size=N))
+        return OneLevelInstance.from_parts(n, world, terms, dicts)
+    members = draw(st.lists(var, min_size=1, max_size=n - 1, unique=True))
+    inside = st.sampled_from(sorted(members))
+    outside = st.sampled_from(sorted(set(range(n)) - set(members)))
+    terms = draw(st.lists(st.lists(inside, max_size=4), min_size=N, max_size=N))
+    polarity = st.booleans() if world == "no" else st.just(False)
+    dicts = draw(st.lists(st.tuples(outside, polarity), min_size=N, max_size=N))
+    bits = st.integers(0, 1)
+    r = draw(st.lists(bits, min_size=len(members), max_size=len(members)))
+    s = draw(st.lists(bits, min_size=n - len(members), max_size=n - len(members)))
+    return UnateInstance.from_parts(n, world, members, terms, dicts, r, s)
 
 
 def random_middle(inst, rng: RngStream) -> BitString:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -312,3 +314,30 @@ class TestErrorRows:
         ok, msg = verify_results(target)
         assert not ok and "failed seeds" in msg
         assert run_cli("verify", "--results", str(target)) == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of README's "Command line" block, in order."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert argv[0] == "cubetest"
+        args = []
+        for a in argv[1:]:
+            if "<config-hash>" in a:
+                (only,) = Path(a.split("<config-hash>")[0]).iterdir()
+                a = str(only)
+            args.append(a)
+        code = main(args)
+        assert code == 0, f"{shlex.join(argv)} exited {code}: {capsys.readouterr().err}"

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetest.cli import _dump_json
+from cubetest.cli import main as cli_main
 from cubetest.core import BitString, ResourceLimitError
 from cubetest.families import (
     FlippedDnfInstance,
@@ -18,9 +21,10 @@ from cubetest.families import (
     Route,
     UnateInstance,
     instance_from_json,
+    sample_instance,
 )
 
-from conftest import make_handbuilt_mono, random_middle
+from conftest import handbuilt_instance, make_handbuilt_mono, random_middle
 
 
 class TestMonoSampling:
@@ -43,10 +47,6 @@ class TestMonoSampling:
         with pytest.raises(ValueError, match="perfect square"):
             MonoInstance.sample(15, "yes", seed=0)
 
-    def test_explicit_cap(self):
-        with pytest.raises(ResourceLimitError):
-            MonoInstance.sample(400, "yes", seed=0, storage="explicit")
-
     def test_term_entry_uniformity(self):
         # distribution of the first variable of the first term across seeds
         n, trials = 16, 20_000
@@ -59,17 +59,26 @@ class TestMonoSampling:
         assert np.all(np.abs(counts - trials * p) < 5 * sigma)
 
     def test_lazy_explicit_equivalence(self, rng):
-        lazy = MonoInstance.sample(16, "no", seed=11, storage="lazy")
-        expl = MonoInstance.sample(16, "no", seed=11, storage="explicit")
-        assert np.array_equal(lazy._terms, expl._terms)
-        for i in range(16):
-            assert np.array_equal(lazy.clause_block(i), expl.clause_block(i))
-            assert np.array_equal(lazy.dict_row(i), expl.dict_row(i))
-        # full-table equality covers every possible query exactly
-        assert np.array_equal(lazy.truth_table(), expl.truth_table())
+        # a hand-built instance pinned to the rows a sampled one derives
+        # evaluates like a fresh sample, which derives each row on first use
+        src = MonoInstance.sample(16, "no", seed=11)
+        pinned = MonoInstance.from_parts(
+            16, "no", src._terms,
+            [src.clause_block(i) for i in range(16)],
+            [src.dict_row(i) for i in range(16)],
+            seed=11,
+        )
+        lazy = MonoInstance.sample(16, "no", seed=11)
         for _ in range(500):
             x = BitString.random(16, rng)
-            assert lazy.value(x) == expl.value(x)
+            assert lazy.value(x) == pinned.value(x)
+        # full-table equality covers every possible query exactly
+        assert np.array_equal(lazy.truth_table(), pinned.truth_table())
+        for i in range(16):
+            assert np.array_equal(lazy.clause_block(i), pinned.clause_block(i))
+            assert np.array_equal(lazy.dict_row(i), pinned.dict_row(i))
+        assert lazy.to_json()["storage"] == "lazy"
+        assert pinned.to_json()["storage"] == "explicit"
 
     def test_table_cap(self):
         # dimension n + 2 = 21 exceeds the 2**20 table cap
@@ -293,8 +302,8 @@ class TestFi:
 
 
 _BUILDS = [
-    lambda: MonoInstance.sample(16, "no", seed=1, storage="explicit"),
-    lambda: MonoInstance.sample(16, "yes", seed=2, storage="lazy"),
+    lambda: MonoInstance.sample(16, "no", seed=1),
+    lambda: MonoInstance.sample(16, "yes", seed=2),
     lambda: FlippedDnfInstance.sample(16, "no", seed=3),
     lambda: OneLevelInstance.sample(16, "yes", seed=4),
     lambda: UnateInstance.sample(16, "no", seed=5),
@@ -328,6 +337,124 @@ class TestSerialization:
         assert np.array_equal(old.truth_table(), table)
         with pytest.raises(ValueError, match="truncate_after_flip"):
             instance_from_json({**obj, "truncate_after_flip": True})
+
+
+# ---------------------------------------------------------------------------
+# The instance file format
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _blake(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+# blake2b digests of ``cubetest sample --n 16 --seed 7`` output as written
+# when the two-level family had a lazy and an explicit storage option; they
+# pin the file format of every family (the four-quadrant family has no
+# worlds, so both of its files are one file)
+SAMPLE_DIGESTS = {
+    ("mono", "yes"): "81989a1d1e2d9f3079b48679058ebe5b",
+    ("mono", "no"): "eb45d02d6d786effb9c5cbec3ee9af25",
+    ("flipdnf", "yes"): "0271a2c5f3788ca59b633f96c5629c5f",
+    ("flipdnf", "no"): "ff0ecaea45bd26b8d637ccce421cb87e",
+    ("onelevel", "yes"): "1d66ca94c0eea0cf3d342b4a4bfbc4d2",
+    ("onelevel", "no"): "ecaa1d2159754bd39a7a32e0d8fe0509",
+    ("unate", "yes"): "a66192269ce8e766d638d7949151be65",
+    ("unate", "no"): "2b1107a2b816d04ffe172d793a5cb3c4",
+    ("quadrant", "yes"): "564d8509e631933bd18a1c572bd9ef9c",
+    ("quadrant", "no"): "564d8509e631933bd18a1c572bd9ef9c",
+}
+
+# the explicit (hand-built) form of the two conftest instances, written the
+# same way
+HANDBUILT_DIGESTS = {
+    "yes": "2608da706ad5d7052cf81422c6c9d4bf",
+    "no": "81b3149ff6d9e75c867ccec3b468e856",
+}
+
+
+def test_sample_bytes_pinned(tmp_path):
+    got = {}
+    for family, world in SAMPLE_DIGESTS:
+        out = tmp_path / f"{family}-{world}.json"
+        argv = ["sample", "--family", family, "--n", "16", "--world", world,
+                "--seed", "7", "--out", str(out)]
+        assert cli_main(argv) == 0
+        got[family, world] = _blake(out.read_bytes())
+    assert got == SAMPLE_DIGESTS
+
+
+def test_explicit_form_pinned_and_roundtrips():
+    # a file written by ``cubetest sample --family mono --n 9 --world no
+    # --seed 7 --storage explicit`` before that option went: every row is
+    # pinned from the file, equals the row the seed derives, and is written
+    # back byte for byte
+    text = (FIXTURES / "mono_n9_no_seed7_explicit.json").read_text()
+    inst = instance_from_json(json.loads(text))
+    assert inst.seed == 7 and inst.to_json()["storage"] == "explicit"
+    assert np.array_equal(inst.truth_table(), MonoInstance.sample(9, "no", 7).truth_table())
+    assert _dump_json(inst.to_json()) == text
+    for world, digest in HANDBUILT_DIGESTS.items():
+        text = _dump_json(make_handbuilt_mono(world).to_json())
+        assert _blake(text.encode()) == digest
+        assert _dump_json(instance_from_json(json.loads(text)).to_json()) == text
+
+
+def _set(*path):
+    """Put the value at ``path`` of an instance file to ``bad``."""
+
+    def put(obj, bad):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = bad
+
+    return put
+
+
+def _set_term(obj, bad):
+    obj["terms"][0] = [bad]
+
+
+# (family, world, where the out-of-range 1-based index goes)
+_BAD_INDEX_CASES = {
+    "mono-terms": ("mono", "no", _set("terms", 0, 0)),
+    "mono-clauses": ("mono", "no", _set("clauses", 1, 2, 3)),
+    "mono-dictators": ("mono", "yes", _set("dictators", 3, 1)),
+    "flipdnf-terms": ("flipdnf", "no", _set("terms", 5, 1)),
+    "flipdnf-flip": ("flipdnf", "no", _set("flip_set", "members", 0)),
+    "onelevel-terms": ("onelevel", "yes", _set_term),
+    "onelevel-dictators": ("onelevel", "no", _set("dictators", 2)),
+    "unate-M": ("unate", "yes", _set("M", 0)),
+    "unate-terms": ("unate", "no", _set_term),
+    "unate-dictators": ("unate", "no", _set("dictators", 1, "index")),
+    "quadrant-i": ("quadrant", "yes", _set("i")),
+}
+
+
+def _instance_file(family: str, world: str) -> dict:
+    if family == "mono":  # the lazy form holds no indices
+        return make_handbuilt_mono(world).to_json()
+    return sample_instance(family, 16, world, seed=3).to_json()
+
+
+@pytest.mark.parametrize("bad", [0, 17])
+@pytest.mark.parametrize(
+    "family, world, put", _BAD_INDEX_CASES.values(), ids=_BAD_INDEX_CASES.keys()
+)
+def test_out_of_range_index_rejected(family, world, put, bad, tmp_path, capsys):
+    # 1-based files hold 1..n; a 0 used to load as coordinate n-1 and an
+    # n+1 to crash evaluation
+    obj = _instance_file(family, world)
+    assert instance_from_json(obj) is not None
+    put(obj, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        instance_from_json(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["eval", "--instance", str(path), "--random", "3"]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 # blake2b digests of truth_table() as the one-level and unateness families
@@ -411,48 +538,8 @@ def _first_two_of(flags) -> list[int]:
     return [i for i, hit in enumerate(flags) if hit][:2]
 
 
-@st.composite
-def _handbuilt(draw):
-    """A hand-built instance at n <= 12 of one of four families, with
-    duplicate members and (single-level) empty terms allowed."""
-    n = draw(st.integers(4, 12))
-    world = draw(st.sampled_from(["yes", "no"]))
-    var = st.integers(0, n - 1)
-    kind = draw(st.sampled_from(["mono", "flipdnf", "onelevel", "unate"]))
-    N = draw(st.integers(1, 5))
-    if kind == "mono":
-        m = draw(st.integers(1, 4))
-        vec = st.lists(var, min_size=m, max_size=m)
-        row = st.lists(vec, min_size=N, max_size=N)
-        return MonoInstance.from_parts(
-            n, world,
-            draw(row),
-            draw(st.lists(row, min_size=N, max_size=N)),
-            draw(st.lists(st.lists(var, min_size=N, max_size=N), min_size=N, max_size=N)),
-        )
-    if kind == "flipdnf":
-        m = draw(st.integers(1, 4))
-        terms = draw(st.lists(st.lists(var, min_size=m, max_size=m), min_size=N, max_size=N))
-        flip = draw(st.lists(var, max_size=3)) if world == "no" else []
-        return FlippedDnfInstance.from_parts(n, world, terms, flip)
-    if kind == "onelevel":
-        terms = draw(st.lists(st.lists(var, max_size=4), min_size=N, max_size=N))
-        dicts = draw(st.lists(var, min_size=N, max_size=N))
-        return OneLevelInstance.from_parts(n, world, terms, dicts)
-    members = draw(st.lists(var, min_size=1, max_size=n - 1, unique=True))
-    inside = st.sampled_from(sorted(members))
-    outside = st.sampled_from(sorted(set(range(n)) - set(members)))
-    terms = draw(st.lists(st.lists(inside, max_size=4), min_size=N, max_size=N))
-    polarity = st.booleans() if world == "no" else st.just(False)
-    dicts = draw(st.lists(st.tuples(outside, polarity), min_size=N, max_size=N))
-    bits = st.integers(0, 1)
-    r = draw(st.lists(bits, min_size=len(members), max_size=len(members)))
-    s = draw(st.lists(bits, min_size=n - len(members), max_size=n - len(members)))
-    return UnateInstance.from_parts(n, world, members, terms, dicts, r, s)
-
-
 @settings(max_examples=60, deadline=None)
-@given(inst=_handbuilt(), picks=st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=24))
+@given(inst=handbuilt_instance(), picks=st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=24))
 def test_handbuilt_scans_match_views(inst, picks):
     n = inst.n
     table = inst.truth_table()
