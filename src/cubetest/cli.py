@@ -79,7 +79,7 @@ def _signature(inst, x: BitString):
         return mono_full_signature(inst, x)
     if isinstance(inst, UnateInstance):  # both single-level families
         return unate_signature(inst, x)
-    raise OutOfBandError(f"{type(inst).__name__} has no signature oracle")
+    raise ValueError(f"{type(inst).__name__} has no signature oracle")
 
 
 def _signature_record(sig) -> dict:
@@ -95,6 +95,7 @@ def _cmd_eval(args, parser) -> int:
     inst = _load_instance(args.instance)
     dim = _instance_dimension(inst)
     points = [BitString.from_hex(dim, h) for h in args.x or []]
+    n_explicit = len(points)
     if args.random:
         rng = RngStream(args.rng_seed, "cli-eval")
         points.extend(BitString.random(dim, rng) for _ in range(args.random))
@@ -117,15 +118,19 @@ def _cmd_eval(args, parser) -> int:
             transcript = oracle.transcript
         else:
             parser.error(f"{type(inst).__name__} has no signature transcript")
-    for x in points:
+    for k, x in enumerate(points):
         rec = {"x": x.to_hex(), "value": inst.value(x)}
-        if oracle is not None:
-            rec["signature"] = _signature_record(oracle.query(x)[0])
-        elif args.signature or transcript is not None:
-            sig = _signature(inst, x)
-            if transcript is not None:
-                transcript.extend(x, sig)
-            rec["signature"] = _signature_record(sig)
+        if args.signature or transcript is not None:
+            try:
+                sig = oracle.query(x)[0] if oracle is not None else _signature(inst, x)
+            except OutOfBandError:
+                if k < n_explicit:  # an explicit point outside the band is a usage error
+                    raise
+                rec["signature"] = None  # a random draw outside the band
+            else:
+                if oracle is None and transcript is not None:
+                    transcript.extend(x, sig)
+                rec["signature"] = _signature_record(sig)
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
     if transcript is not None:
         Path(args.transcript_out).write_text(transcript.dump_jsonl())

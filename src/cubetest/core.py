@@ -7,9 +7,9 @@ Everything downstream works with three small building blocks:
   dimensions up to 4096.
 * :class:`IndexSet` -- a validated subset of coordinates.
 * :class:`RngStream` -- a stateless, counter-based random stream: the value
-  of every draw is a pure function of ``(master_seed, domain_tag, counters,
-  call_index)``, so lazily materialized objects can be re-derived on demand
-  and Monte-Carlo jobs can be split across workers by counter prefix.
+  of every draw is a pure function of ``(master_seed, domain_tag,
+  call_index)``, so every run replays exactly; Monte-Carlo jobs split
+  across workers by seed, never within a stream.
 
 Coordinates are 0-based throughout the Python API; JSON serialization is
 1-based (see :meth:`IndexSet.to_json`).
@@ -103,17 +103,12 @@ class BitString:
         return cls(len(arr), bits)
 
     @classmethod
-    def random(cls, n: int, rng: "RngStream | np.random.Generator") -> "BitString":
-        if isinstance(rng, RngStream):
-            chunks = []
-            for off in range(0, n, 64):
-                chunks.append(rng.draw(1 << min(64, n - off)) - 1)
-            bits = 0
-            for k, c in enumerate(chunks):
-                bits |= c << (64 * k)
-            return cls(n, bits)
-        arr = rng.integers(0, 2, size=n)
-        return cls.from_array(arr)
+    def random(cls, n: int, rng: "RngStream") -> "BitString":
+        """Uniform point: one draw per 64 coordinates, lowest first."""
+        bits = 0
+        for off in range(0, n, 64):
+            bits |= (rng.draw(1 << min(64, n - off)) - 1) << off
+        return cls(n, bits)
 
     # -- queries --------------------------------------------------------
 
@@ -308,29 +303,19 @@ def derive_generator(master_seed: int, *path: int | str) -> np.random.Generator:
 class RngStream:
     """Stateless keyed random stream.
 
-    Each call to :meth:`draw` hashes ``(master_seed, domain_tag, counters,
+    Each call to :meth:`draw` hashes ``(master_seed, domain_tag,
     call_index)`` with BLAKE2b, so equal parameters replay byte-identical
-    sequences on any platform, and streams with distinct ``domain_tag`` or
-    ``counters`` are statistically independent.
+    sequences on any platform, and streams with distinct ``domain_tag``
+    are statistically independent.
     """
 
-    __slots__ = ("master_seed", "domain_tag", "counters", "_calls", "_prefix")
+    __slots__ = ("master_seed", "domain_tag", "_calls", "_prefix")
 
-    def __init__(
-        self,
-        master_seed: int,
-        domain_tag: str = "",
-        counters: tuple[int, ...] = (),
-    ):
+    def __init__(self, master_seed: int, domain_tag: str = ""):
         self.master_seed = int(master_seed)
         self.domain_tag = domain_tag
-        self.counters = tuple(int(c) for c in counters)
         self._calls = 0
-        self._prefix = _path_bytes(self.master_seed, (domain_tag, *self.counters))
-
-    def child(self, *counters: int) -> "RngStream":
-        """Independent sub-stream with extended counter tuple."""
-        return RngStream(self.master_seed, self.domain_tag, self.counters + counters)
+        self._prefix = _path_bytes(self.master_seed, (domain_tag,))
 
     def _word(self, call_index: int, attempt: int) -> int:
         msg = self._prefix + struct.pack("<qq", call_index, attempt)
@@ -358,10 +343,6 @@ class RngStream:
         """Uniform integer in ``0..upper-1``."""
         return self.draw(upper) - 1
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.draw(1 << 53) - 1) / float(1 << 53)
-
     def sample_without_replacement(self, pool: Sequence[int], k: int) -> list[int]:
         """k distinct elements of ``pool``, order-stable partial Fisher-Yates."""
         if k > len(pool):
@@ -380,5 +361,5 @@ class RngStream:
     def __repr__(self) -> str:
         return (
             f"RngStream(seed={self.master_seed}, tag={self.domain_tag!r}, "
-            f"counters={self.counters}, calls={self._calls})"
+            f"calls={self._calls})"
         )

@@ -43,7 +43,6 @@ __all__ = [
     "estimate_witness_density",
     "middle_layer_indices",
     "sample_middle_layer",
-    "sample_middle_layer_exact",
     "unate_no_family_stats",
 ]
 
@@ -253,7 +252,7 @@ def _cell_witness(
     # at the top weight of the band x^(k) leaves it and reads 1
     if inst.weight_class(xstar) != "middle":
         return None
-    if inst.satisfied_terms(xstar, limit=2) != [i]:
+    if inst.satisfied_terms(xstar) != [i]:
         return None
     return (x, xstar)
 
@@ -300,22 +299,13 @@ def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStrea
             return x
 
 
-def sample_middle_layer_exact(
-    n: int, band_low: float, band_high: float, rng: RngStream
-) -> BitString:
-    """Exact layer-weighted middle sampling for small n (no rejection):
-    draws an index uniformly from the enumerated band."""
-    idx = middle_layer_indices(n, band_low, band_high)
-    return BitString(n, int(idx[rng.randint0(len(idx))]))
-
-
 def estimate_witness_density(
-    inst: MonoInstance, samples: int, rng: RngStream | None = None, seed: int = 0
+    inst: MonoInstance, samples: int, rng: RngStream | None = None
 ) -> FarnessEstimate:
     """Monte-Carlo witness-membership probability over middle-layer points."""
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    rng = rng or RngStream(seed, "witness-estimate")
+    rng = rng or RngStream(0, "witness-estimate")
     hits = 0
     for _ in range(samples):
         x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
@@ -363,7 +353,6 @@ def unate_no_family_stats(
     inst: UnateInstance,
     samples: int = 0,
     rng: RngStream | None = None,
-    seed: int = 0,
     exhaustive: bool = False,
 ) -> UnateFamilyStats:
     """Densities of the per-direction witness families of the de-oriented
@@ -389,7 +378,7 @@ def unate_no_family_stats(
 
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    rng = rng or RngStream(seed, "unate-family-stats")
+    rng = rng or RngStream(0, "unate-family-stats")
     hits_plus = {k: 0 for k in mbar}
     hits_minus = {k: 0 for k in mbar}
     for _ in range(samples):

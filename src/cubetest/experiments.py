@@ -307,12 +307,7 @@ def _attack_rates_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> 
     verdict = _ATTACKS[tester](inst.value, n, tcfg)
     witness_ok = 1.0
     if verdict.decision == "reject":
-        w = verdict.witness
-        witness_ok = float(
-            w.lower.precedes(w.upper)
-            and inst.value(w.lower) == 1
-            and inst.value(w.upper) == 0
-        )
+        witness_ok = float(verdict.witness.verify(inst.value))
     return [
         ("reject", float(verdict.decision == "reject"), 0, verdict.queries_used),
         ("witness_ok", witness_ok, 0, verdict.queries_used),

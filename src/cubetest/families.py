@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,18 +135,14 @@ def _first_two(points: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.nd
     return count, first
 
 
-def _hits(xb: np.ndarray, terms: np.ndarray, limit: int) -> list[int]:
-    """Per-query scan: the first ``limit`` rows of ``terms`` (variable
-    indices) whose variables are all set in the boolean point ``xb``,
-    ascending.  Clauses falsified by ``x`` are the terms hit by ``~x``."""
-    hits: list[int] = []
-    chunk = 8192
-    for lo in range(0, len(terms), chunk):
-        for k in np.flatnonzero(xb[terms[lo : lo + chunk]].all(axis=1)):
-            hits.append(lo + int(k))
-            if len(hits) >= limit:
-                return hits
-    return hits
+def _hits(xb: np.ndarray, terms: np.ndarray) -> list[int]:
+    """Per-query scan: the first two rows of ``terms`` (variable indices)
+    whose variables are all set in the boolean point ``xb``, ascending;
+    the multiplexer tells apart only none, one and several.  Clauses
+    falsified by ``x`` are the terms hit by ``~x``.  One pass over all
+    rows: its boolean ``len(terms) x m`` temporary is a quarter of the size
+    of ``terms``."""
+    return [int(k) for k in np.flatnonzero(xb[terms].all(axis=1))[:2]]
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +152,14 @@ def _hits(xb: np.ndarray, terms: np.ndarray, limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Term:
-    """A monotone conjunction.
-
-    ``sequence`` style holds exactly ``len(vars)`` sampled positions with
-    duplicates allowed; ``subset`` style holds a set of distinct members.
-    An empty subset term is the empty conjunction and is satisfied by
-    every point.
+    """A monotone conjunction of ``vars``: the sampled positions of a
+    two-level or flipped-DNF term (duplicates allowed), or the distinct
+    members of a single-level term.  An empty term is the empty
+    conjunction and is satisfied by every point.
     """
 
     n: int
     vars: tuple[int, ...]
-    style: str = "sequence"
 
     def satisfied_by(self, x: BitString) -> bool:
         return all(x[v] for v in self.vars)
@@ -194,25 +187,17 @@ class Dictator:
         v = x[self.index]
         return 1 - v if self.negated else v
 
-    __call__ = value_at
 
-
-class Route:
+class Route(NamedTuple):
     """Outcome of a multiplexer: a forced constant, a term, or a cell.
 
     ``kind`` is one of ``zero`` (forced 0), ``one`` (forced 1), ``term``
     (single-level index ``i``), or ``cell`` (two-level pair ``(i, j)``).
     """
 
-    __slots__ = ("kind", "i", "j")
-
-    def __init__(self, kind: str, i: int | None = None, j: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Route is immutable")
+    kind: str
+    i: int | None = None
+    j: int | None = None
 
     @classmethod
     def zero(cls) -> "Route":
@@ -230,21 +215,9 @@ class Route:
     def cell(cls, i: int, j: int) -> "Route":
         return cls("cell", i, j)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Route)
-            and (self.kind, self.i, self.j) == (other.kind, other.i, other.j)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j))
-
     def __repr__(self) -> str:
-        if self.kind == "term":
-            return f"Route.term({self.i})"
-        if self.kind == "cell":
-            return f"Route.cell({self.i}, {self.j})"
-        return f"Route.{self.kind}()"
+        args = ", ".join(str(v) for v in (self.i, self.j) if v is not None)
+        return f"Route.{self.kind}({args})"
 
 
 _ROUTE_ZERO = Route("zero")
@@ -342,6 +315,9 @@ class MonoInstance:
     # -- per-term rows ------------------------------------------------------
 
     def _derive(self, role: str, i: int, size) -> np.ndarray:
+        # only a miss reaches this check, so a stored row pays nothing for it
+        if not 0 <= i < self.N:
+            raise IndexError(f"term {i} out of range for N={self.N}")
         row = derive_generator(self.seed, "mono", role, i).integers(
             0, self.n, size=size, dtype=np.int32
         )
@@ -372,23 +348,23 @@ class MonoInstance:
     def weight_class(self, x: BitString) -> str:
         return _band_class(x.weight, self.band_low, self.band_high)
 
-    def satisfied_terms(self, x: BitString, limit: int = 2) -> list[int]:
-        """Indices of the first ``limit`` satisfied terms, ascending."""
-        return _hits(x.to_array(), self._terms, limit)
+    def satisfied_terms(self, x: BitString) -> list[int]:
+        """Indices of the first two satisfied terms, ascending."""
+        return _hits(x.to_array(), self._terms)
 
-    def falsified_clauses(self, i: int, x: BitString, limit: int = 2) -> list[int]:
-        """Indices of the first ``limit`` clauses of row ``i`` falsified by x."""
-        return _hits(~x.to_array(), self.clause_block(i), limit)
+    def falsified_clauses(self, i: int, x: BitString) -> list[int]:
+        """Indices of the first two clauses of row ``i`` falsified by x."""
+        return _hits(~x.to_array(), self.clause_block(i))
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""
-        sat = self.satisfied_terms(x, limit=2)
+        sat = self.satisfied_terms(x)
         if not sat:
             return Route.zero()
         if len(sat) >= 2:
             return Route.one()
         i = sat[0]
-        fals = self.falsified_clauses(i, x, limit=2)
+        fals = self.falsified_clauses(i, x)
         if not fals:
             return Route.one()
         if len(fals) >= 2:
@@ -544,7 +520,7 @@ class FlippedDnfInstance:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
 
     def dnf_value(self, x: BitString) -> int:
-        return len(_hits(x.to_array(), self._terms, 1))
+        return int(bool(_hits(x.to_array(), self._terms)))
 
     def value(self, x: BitString) -> int:
         if x.n != self.n:
@@ -739,9 +715,7 @@ class UnateInstance:
         )
 
     def term(self, i: int) -> Term:
-        return Term(
-            self.n, tuple(int(v) for v in np.flatnonzero(self._masks[i])), "subset"
-        )
+        return Term(self.n, tuple(int(v) for v in np.flatnonzero(self._masks[i])))
 
     def dictator(self, i: int) -> Dictator:
         return Dictator(int(self._dict_vars[i]), bool(self._dict_negated[i]))
@@ -754,13 +728,14 @@ class UnateInstance:
     def band_class_base(self, y: BitString) -> str:
         return _band_class(self.m_weight(y), self.band_low, self.band_high)
 
-    def satisfied_terms_base(self, y: BitString, limit: int = 2) -> list[int]:
+    def satisfied_terms_base(self, y: BitString) -> list[int]:
+        """Indices of the first two terms satisfied by ``y``, ascending."""
         yb = y.to_array()
         sat = ~(self._masks & ~yb).any(axis=1)
-        return [int(i) for i in np.flatnonzero(sat)[:limit]]
+        return [int(i) for i in np.flatnonzero(sat)[:2]]
 
     def route_base(self, y: BitString) -> Route:
-        sat = self.satisfied_terms_base(y, limit=2)
+        sat = self.satisfied_terms_base(y)
         if not sat:
             return Route.zero()
         if len(sat) >= 2:

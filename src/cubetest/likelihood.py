@@ -46,6 +46,8 @@ __all__ = [
     "unate_likelihood_bruteforce",
 ]
 
+EXHAUSTIVE_CAP = 20  # most orientation coordinates a unateness likelihood enumerates
+
 
 @dataclass(frozen=True)
 class LeafLikelihood:
@@ -80,10 +82,10 @@ class UnateLikelihood:
 
 def _mono_patterns_match(inst: MonoInstance, t: MonoTranscript) -> bool:
     for x, sig in t.queries:
-        if sig.term != TermPattern.of(inst.satisfied_terms(x, limit=2)):
+        if sig.term != TermPattern.of(inst.satisfied_terms(x)):
             return False
         if sig.term.kind == "unique" and sig.clause != ClausePattern.of(
-            inst.falsified_clauses(sig.term.first, x, limit=2)
+            inst.falsified_clauses(sig.term.first, x)
         ):
             return False
     return True
@@ -91,7 +93,7 @@ def _mono_patterns_match(inst: MonoInstance, t: MonoTranscript) -> bool:
 
 def _single_level_patterns_match(inst: UnateInstance, t: SingleLevelTranscript) -> bool:
     return all(
-        sig.term == TermPattern.of(inst.satisfied_terms_base(x.xor(inst.orientation), limit=2))
+        sig.term == TermPattern.of(inst.satisfied_terms_base(x.xor(inst.orientation)))
         for x, sig in t.queries
     )
 
@@ -219,7 +221,6 @@ def unate_transcript_likelihood(
     mode: str = "auto",
     samples: int = 20000,
     rng: RngStream | None = None,
-    exhaustive_cap: int = 20,
 ) -> UnateLikelihood:
     """Reach probabilities of a unateness transcript over (H, s).
 
@@ -227,7 +228,7 @@ def unate_transcript_likelihood(
     Mbar| / n`` over safe terms.  The yes-side is an expectation over the
     orientation restricted to the coordinates that matter (special
     variables of breached terms plus the agreement sets of safe terms):
-    exhaustive when at most ``exhaustive_cap`` coordinates are involved,
+    exhaustive when at most ``EXHAUSTIVE_CAP`` coordinates are involved,
     Monte-Carlo with a reported confidence interval otherwise.
     """
     if not _single_level_patterns_match(inst, t):
@@ -264,12 +265,12 @@ def unate_transcript_likelihood(
         return out
 
     if mode == "auto":
-        mode = "exhaustive" if len(coords) <= exhaustive_cap else "monte_carlo"
+        mode = "exhaustive" if len(coords) <= EXHAUSTIVE_CAP else "monte_carlo"
     if mode == "exhaustive":
-        if len(coords) > exhaustive_cap:
+        if len(coords) > EXHAUSTIVE_CAP:
             raise ResourceLimitError(
                 f"{len(coords)} relevant coordinates exceed the exhaustive "
-                f"cap {exhaustive_cap}"
+                f"cap {EXHAUSTIVE_CAP}"
             )
         total = 0.0
         for assignment in product((0, 1), repeat=len(coords)):
@@ -288,9 +289,7 @@ def unate_transcript_likelihood(
     return UnateLikelihood(p_yes, p_no, p_yes_ci=half, samples=samples)
 
 
-def unate_likelihood_bruteforce(
-    inst: UnateInstance, t: UnateTranscript, exhaustive_cap: int = 20
-) -> UnateLikelihood:
+def unate_likelihood_bruteforce(inst: UnateInstance, t: UnateTranscript) -> UnateLikelihood:
     """Full enumeration over the hidden pair (H, s).
 
     Iterates the orientation over all of ``Mbar`` and, per term, every
@@ -301,9 +300,9 @@ def unate_likelihood_bruteforce(
         return UnateLikelihood(0.0, 0.0)
     n = inst.n
     mbar = sorted(t.Mbar)
-    if len(mbar) > exhaustive_cap:
+    if len(mbar) > EXHAUSTIVE_CAP:
         raise ResourceLimitError(
-            f"|Mbar|={len(mbar)} exceeds the brute-force cap {exhaustive_cap}"
+            f"|Mbar|={len(mbar)} exceeds the brute-force cap {EXHAUSTIVE_CAP}"
         )
     obs = {
         i: [(t.queries[q][0], v) for q, v in sorted(t.rho[i].items())]

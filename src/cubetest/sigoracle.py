@@ -31,7 +31,6 @@ __all__ = [
     "UnateSignature",
     "mono_full_signature",
     "unate_signature",
-    "onelevel_signature",
     "value_from_mono_signature",
     "value_from_unate_signature",
 ]
@@ -221,11 +220,11 @@ def mono_full_signature(inst: MonoInstance, x: BitString) -> FullSignature:
             f"[{inst.band_low:.2f}, {inst.band_high:.2f}]; "
             "the signature oracle only answers in-band queries"
         )
-    tp = TermPattern.of(inst.satisfied_terms(x, limit=2))
+    tp = TermPattern.of(inst.satisfied_terms(x))
     if tp.kind != "unique":
         return FullSignature(tp, None)
     i = tp.first
-    cp = ClausePattern.of(inst.falsified_clauses(i, x, limit=2))
+    cp = ClausePattern.of(inst.falsified_clauses(i, x))
     a = None if cp.first is None else inst.dictator(i, cp.first).value_at(x)
     b = None if cp.second is None else inst.dictator(i, cp.second).value_at(x)
     return FullSignature(tp, cp, a, b)
@@ -262,7 +261,9 @@ def unate_signature(inst: UnateInstance, x: BitString) -> UnateSignature:
     """Signature of a query against a single-level instance.
 
     The orientation is XORed in first; the query must land in the middle
-    band of the weight inside ``M`` after that XOR.
+    band of the weight inside ``M`` after that XOR.  A one-level instance
+    is the core with ``M = [n]`` and zero orientation, so there ``y = x``
+    and ``|y_M| = |x|``.
     """
     y = x.xor(inst.orientation)
     if inst.band_class_base(y) != "middle":
@@ -271,15 +272,10 @@ def unate_signature(inst: UnateInstance, x: BitString) -> UnateSignature:
             f"[{inst.band_low:.2f}, {inst.band_high:.2f}] after orientation; "
             "the signature oracle only answers in-band queries"
         )
-    tp = TermPattern.of(inst.satisfied_terms_base(y, limit=2))
+    tp = TermPattern.of(inst.satisfied_terms_base(y))
     a = None if tp.first is None else inst.dictator(tp.first).value_at(y)
     b = None if tp.second is None else inst.dictator(tp.second).value_at(y)
     return UnateSignature(tp, a, b)
-
-
-# a one-level instance is the single-level core with M = [n] and zero
-# orientation, so y = x and |y_M| = |x| above
-onelevel_signature = unate_signature
 
 
 def value_from_unate_signature(band_class: str, sig: UnateSignature | None) -> int:

@@ -33,11 +33,10 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .core import BitString, ResourceLimitError
-from .families import OneLevelInstance, UnateInstance
+from .families import UnateInstance
 from .sigoracle import (
     FullSignature,
     UnateSignature,
-    onelevel_signature,
     unate_signature,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "SingleLevelTranscript",
     "UnateTranscript",
     "UnateSignatureOracle",
-    "OneLevelSignatureOracle",
     "induced_mono_tuple",
     "induced_single_level_tuple",
     "consistency_status",
@@ -71,67 +69,40 @@ BALANCE_SUBSET_CAP = 12  # largest past-query subset the all_subsets check tries
 class ClassifierConfig:
     """Thresholds used by the bad-edge classifiers and balance checks.
 
-    Every threshold defaults to its standard formula in the dimension
-    ``n`` (with base-2 logarithms) and can be
-    overridden individually, which is how the hand-crafted fixtures make
-    the rare events reachable at desk-scale dimensions.
+    Every threshold left ``None`` is filled from its standard formula in
+    the dimension ``n`` (with base-2 logarithms); setting one individually
+    is how the hand-crafted fixtures make the rare events reachable at
+    desk-scale dimensions.
     """
 
     n: int
     alpha: float = 4.0
-    mono_drop_threshold: Optional[float] = None  # alpha * sqrt(n) * log n
-    unate_drop_threshold: Optional[float] = None  # n^(2/3) * log n
-    balance_delta_threshold: Optional[float] = None  # n^(2/3) * log n
-    balance_floor: Optional[float] = None  # n^(2/3) * log n / 8
-    breach_count_cap: Optional[float] = None  # n^(1/3) / log n
-    shared_ones_floor: Optional[float] = None  # n/2 - alpha * sqrt(n) * log n
+    mono_drop: Optional[float] = None  # alpha * sqrt(n) * log n
+    unate_drop: Optional[float] = None  # n^(2/3) * log n
+    balance_delta: Optional[float] = None  # n^(2/3) * log n
+    balance_min_ones: Optional[float] = None  # n^(2/3) * log n / 8
+    breach_cap: Optional[float] = None  # n^(1/3) / log n
+    shared_ones: Optional[float] = None  # n/2 - alpha * sqrt(n) * log n
 
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-
-    @property
-    def log_n(self) -> float:
+        n, alpha = self.n, self.alpha
         # not math.log2: the quotient differs from it in the last bit at some n
-        return math.log(self.n) / math.log(2.0)
-
-    @property
-    def mono_drop(self) -> float:
-        if self.mono_drop_threshold is not None:
-            return self.mono_drop_threshold
-        return self.alpha * math.sqrt(self.n) * self.log_n
-
-    @property
-    def unate_drop(self) -> float:
-        if self.unate_drop_threshold is not None:
-            return self.unate_drop_threshold
-        return self.n ** (2.0 / 3.0) * self.log_n
-
-    @property
-    def balance_delta(self) -> float:
-        if self.balance_delta_threshold is not None:
-            return self.balance_delta_threshold
-        return self.n ** (2.0 / 3.0) * self.log_n
-
-    @property
-    def balance_min_ones(self) -> float:
-        if self.balance_floor is not None:
-            return self.balance_floor
-        return self.n ** (2.0 / 3.0) * self.log_n / 8.0
-
-    @property
-    def breach_cap(self) -> float:
-        if self.breach_count_cap is not None:
-            return self.breach_count_cap
-        return self.n ** (1.0 / 3.0) / self.log_n
-
-    @property
-    def shared_ones(self) -> float:
-        if self.shared_ones_floor is not None:
-            return self.shared_ones_floor
-        return self.n / 2.0 - self.alpha * math.sqrt(self.n) * self.log_n
+        log_n = math.log(n) / math.log(2.0)
+        standard = {
+            "mono_drop": alpha * math.sqrt(n) * log_n,
+            "unate_drop": n ** (2.0 / 3.0) * log_n,
+            "balance_delta": n ** (2.0 / 3.0) * log_n,
+            "balance_min_ones": n ** (2.0 / 3.0) * log_n / 8.0,
+            "breach_cap": n ** (1.0 / 3.0) / log_n,
+            "shared_ones": n / 2.0 - alpha * math.sqrt(n) * log_n,
+        }
+        for name, value in standard.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -509,15 +480,14 @@ class UnateTranscript(SingleLevelTranscript):
 
     A tracked term is *breached* once its observed dictator values are
     inconsistent or its agreement set outside ``M`` has shrunk to at most
-    the overlap floor (n/10 by default); at that moment the oracle reveals
-    its special variable, recorded in ``delta``.
+    the overlap floor n/10; at that moment the oracle reveals its special
+    variable, recorded in ``delta``.
     """
 
-    def __init__(self, n: int, m_members: Iterable[int], breach_overlap: float | None = None):
+    def __init__(self, n: int, m_members: Iterable[int]):
         super().__init__(n)
         self.M = frozenset(int(i) for i in m_members)
         self.Mbar = frozenset(range(n)) - self.M
-        self.breach_overlap = n / 10.0 if breach_overlap is None else breach_overlap
         self.I_B: set[int] = set()
         self.delta: dict[int, int] = {}
         self.breach_events: list[dict[int, int]] = []
@@ -529,10 +499,10 @@ class UnateTranscript(SingleLevelTranscript):
     def is_breached(self, i: int) -> bool:
         if _status(self.rho[i].values()) == "inconsistent":
             return True
-        return len(self.common_coords(i) & self.Mbar) <= self.breach_overlap
+        return len(self.common_coords(i) & self.Mbar) <= self.n / 10.0
 
     def snapshot(self) -> "UnateTranscript":
-        c = UnateTranscript(self.n, self.M, self.breach_overlap)
+        c = UnateTranscript(self.n, self.M)
         c.queries = list(self.queries)
         c.I = set(self.I)
         c.P = {i: list(v) for i, v in self.P.items()}
@@ -598,9 +568,9 @@ class UnateSignatureOracle:
     instance.
     """
 
-    def __init__(self, inst: UnateInstance, breach_overlap: float | None = None):
+    def __init__(self, inst: UnateInstance):
         self.inst = inst
-        self.transcript = UnateTranscript(inst.n, inst.M, breach_overlap)
+        self.transcript = UnateTranscript(inst.n, inst.M)
         self.queries_used = 0
 
     def _special_var(self, i: int) -> int:
@@ -618,18 +588,6 @@ class UnateSignatureOracle:
         return classify_unate_edge(
             self.transcript, x, sig, self._special_var, cfg
         )
-
-
-class OneLevelSignatureOracle:
-    """Stateless signature oracle for the single-level family."""
-
-    def __init__(self, inst: OneLevelInstance):
-        self.inst = inst
-        self.queries_used = 0
-
-    def query(self, x: BitString) -> UnateSignature:
-        self.queries_used += 1
-        return onelevel_signature(self.inst, x)
 
 
 def classify_unate_edge(

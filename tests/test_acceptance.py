@@ -251,7 +251,7 @@ def _fixture_cases():
             t.extend(x, sig, reveal=reveal)
         return t
 
-    loose = ClassifierConfig(n, alpha=4.0, mono_drop_threshold=4)
+    loose = ClassifierConfig(n, alpha=4.0, mono_drop=4)
     std = ClassifierConfig(n, alpha=4.0)
     return [
         ("E1", classify_mono_edge, mono(p(*range(8)), u()), (p(0, *range(8, 15)), u(), loose)),
@@ -261,14 +261,14 @@ def _fixture_cases():
         ("E4", classify_mono_edge, mono(p(0, 1, 2, 3), u(c5, 1)), (p(0, 1, 2, 4), u(c5, 0), std)),
         # unateness E1: wide disagreement on a safe term's agreement set
         ("E1", classify_unate_edge, unate((p(0, 1, 2, 8, 9), us(0, 1), {})),
-         (p(0, 3, 4, 10, 11, 12), us(0, 1), {}, ClassifierConfig(n, unate_drop_threshold=6))),
+         (p(0, 3, 4, 10, 11, 12), us(0, 1), {}, ClassifierConfig(n, unate_drop=6))),
         # E2: breach count passes the (sub-1 at n=16) cap on first breach
         ("E2", classify_unate_edge, unate((p(0, 8), us(0, 1), {})),
          (p(0), us(0, 0), {0: 8}, ClassifierConfig(n))),
         # E3: two breached terms share a special variable under a raised cap
         ("E3", classify_unate_edge,
          unate((p(0, 8), us(0, 1), {}), (p(0), us(0, 0), {0: 8}), (p(1, 8), us(1, 0), {})),
-         (p(1), us(1, 1), {1: 8}, ClassifierConfig(n, breach_count_cap=5))),
+         (p(1), us(1, 1), {1: 8}, ClassifierConfig(n, breach_cap=5))),
     ]
 
 

@@ -62,14 +62,32 @@ class TestEval:
         assert rec["value"] == 1
 
     def test_signature_value_agrees(self, inst_file, capsys):
+        # a random draw outside the band gets a null signature, not an error
         assert run_cli(
             "eval", "--instance", str(inst_file), "--random", "40",
             "--rng-seed", "2", "--signature",
-        ) in (0, 2)  # some random draws may be out of band -> usage error
-        out = capsys.readouterr().out
-        for line in out.splitlines():
-            rec = json.loads(line)
+        ) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(recs) == 40
+        signed = [rec for rec in recs if rec["signature"] is not None]
+        assert 0 < len(signed) < 40
+        for rec in signed:
             assert rec["signature"]["value_from_signature"] == rec["value"]
+
+    # the unate band holds every point at n=16, so it has no draw to leave out
+    @pytest.mark.parametrize("family", ["mono", "onelevel"])
+    def test_random_out_of_band_left_out_of_transcript(self, family, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        run_cli("sample", "--family", family, "--n", "16", "--world", "no",
+                "--seed", "5", "--out", str(inst_file))
+        dump = tmp_path / "t.jsonl"
+        assert run_cli("eval", "--instance", str(inst_file), "--random", "40",
+                       "--rng-seed", "2", "--transcript-out", str(dump)) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        signed = [rec for rec in recs if rec["signature"] is not None]
+        assert len(recs) == 40 and 0 < len(signed) < 40
+        lines = [json.loads(line) for line in dump.read_text().splitlines()]
+        assert [line["x"]["hex"] for line in lines] == [rec["x"] for rec in signed]
 
     def test_out_of_band_signature_errors(self, inst_file, capsys):
         code = run_cli(

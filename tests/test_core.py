@@ -119,8 +119,8 @@ class TestRngStream:
         assert all(s.draw(1) == 1 for _ in range(50))
 
     def test_replay_determinism(self):
-        a = RngStream(99, "tag", (1, 2))
-        b = RngStream(99, "tag", (1, 2))
+        a = RngStream(99, "tag")
+        b = RngStream(99, "tag")
         assert [a.draw(1000) for _ in range(10_000)] == [
             b.draw(1000) for _ in range(10_000)
         ]
@@ -130,12 +130,6 @@ class TestRngStream:
         b = RngStream(99, "tag-b")
         assert [a.draw(10**9) for _ in range(20)] != [
             b.draw(10**9) for _ in range(20)
-        ]
-
-    def test_child_streams_differ(self):
-        s = RngStream(7, "t")
-        assert [s.child(0).draw(10**9) for _ in range(10)] != [
-            s.child(1).draw(10**9) for _ in range(10)
         ]
 
     def test_invalid_range(self):

@@ -282,20 +282,6 @@ class TestFarnessEstimate:
         )
 
 
-class TestExactMiddleSampler:
-    def test_uniform_over_band(self):
-        from cubetest.distance import sample_middle_layer_exact
-
-        rng = RngStream(4, "exact-mid")
-        counts = {}
-        for _ in range(4000):
-            x = sample_middle_layer_exact(8, 3, 5, rng)
-            assert 3 <= x.weight <= 5
-            counts[x.bits] = counts.get(x.bits, 0) + 1
-        support = len(middle_layer_indices(8, 3, 5))
-        assert len(counts) > support * 0.9
-
-
 # blake2b digests recorded when the whole-cube scans ran over a boolean
 # point matrix; they pin the integer-point scans bit for bit.
 # witness_edge_family of MonoInstance.sample(n, "no", seed, term_len=...):

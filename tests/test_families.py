@@ -80,6 +80,18 @@ class TestMonoSampling:
         assert lazy.to_json()["storage"] == "lazy"
         assert pinned.to_json()["storage"] == "explicit"
 
+    def test_row_index_out_of_range(self):
+        # a row outside [0, N) is not part of the instance: nothing is
+        # derived or stored for it, on a sampled or a hand-built instance
+        inst = MonoInstance.sample(16, "no", seed=11)
+        with pytest.raises(IndexError):
+            inst.clause_block(16)
+        with pytest.raises(IndexError):
+            inst.dict_row(-1)
+        assert inst._rows == {}
+        with pytest.raises(IndexError):
+            make_handbuilt_mono("no").clause_block(7)
+
     def test_table_cap(self):
         # dimension n + 2 = 21 exceeds the 2**20 table cap
         with pytest.raises(ResourceLimitError):

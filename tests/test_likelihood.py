@@ -22,10 +22,10 @@ from cubetest.sigoracle import (
     OutOfBandError,
     TermPattern,
     mono_full_signature,
+    unate_signature,
 )
 from cubetest.transcripts import (
     MonoTranscript,
-    OneLevelSignatureOracle,
     SingleLevelTranscript,
     UnateSignatureOracle,
     consistency_status,
@@ -122,11 +122,10 @@ class TestOneLevelLikelihood:
     def test_closed_form_equals_enumeration(self, rng):
         for seed in range(25):
             inst = OneLevelInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
-            oracle = OneLevelSignatureOracle(inst)
             t = SingleLevelTranscript(16)
             for _ in range(10):
                 x = random_middle(inst, rng)
-                t.extend(x, oracle.query(x))
+                t.extend(x, unate_signature(inst, x))
             if any(consistency_status(t, i) == "inconsistent" for i in t.rho):
                 continue
             closed = onelevel_outcome_likelihood(inst, t)
@@ -219,11 +218,10 @@ class TestPinnedLeafLikelihoods:
             inst = toy_mono(world, seed)
             t = grow_mono_transcript(inst, 2 + seed % 5, rng)
             one = OneLevelInstance.sample(16, world, seed=seed)
-            oracle = OneLevelSignatureOracle(one)
             ts = SingleLevelTranscript(16)
             for _ in range(1 + seed % 4):
                 x = random_middle(one, rng)
-                ts.extend(x, oracle.query(x))
+                ts.extend(x, unate_signature(one, x))
             for fn, args in (
                 (mono_leaf_likelihood, (inst, t)),
                 (mono_leaf_likelihood_bruteforce, (inst, t)),

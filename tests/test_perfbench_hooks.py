@@ -1,9 +1,10 @@
-"""The benchmark's tracing hooks still fit the library.
+"""The benchmark's tracing hooks and call sites still fit the library.
 
 ``perfbench/tracing.py`` wraps named methods in their class body and named
-functions in every ``cubetest`` module that binds them.  A refactor that
-moves or renames one of them breaks the traced benchmark run; this test
-catches that without running the benchmark.
+functions in every ``cubetest`` module that binds them, and
+``perfbench/workloads.py`` calls the library with fixed signatures.  A
+refactor that moves, renames or re-signs one of them breaks the benchmark
+run; these tests catch that without running the benchmark.
 """
 
 from __future__ import annotations
@@ -12,14 +13,20 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+def _load(stem: str):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{stem}", PERFBENCH / f"{stem}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
     spec.loader.exec_module(mod)
     return mod
+
+
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 def _bindings() -> dict:
@@ -37,7 +44,7 @@ def _bindings() -> dict:
 
 
 def test_install_finds_every_hook_and_undo_restores_it():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     hooks = [(owner, attr) for _, owner, attr in tracing.SPANS]
     hooks += [(owner, attr) for _, owner, attr in tracing.COUNTERS]
     for owner, attr in hooks:
@@ -56,3 +63,11 @@ def test_install_finds_every_hook_and_undo_restores_it():
     after = _bindings()
     changed = [key for key, val in before.items() if after.get(key) is not val]
     assert not changed
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_op_passes_its_check(name):
+    # op 0 of bench seed 1: every library call the op and its check make
+    wl = WORKLOADS[name]
+    op = wl.make_op(1, 0)
+    assert wl.check(op, wl.run(op)) == []

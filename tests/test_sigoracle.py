@@ -11,7 +11,6 @@ from cubetest.sigoracle import (
     TermPattern,
     UnateSignature,
     mono_full_signature,
-    onelevel_signature,
     unate_signature,
     value_from_mono_signature,
     value_from_unate_signature,
@@ -225,5 +224,5 @@ class TestOneLevelSignature:
                 inst = OneLevelInstance.sample(16, world, seed=seed)
                 for _ in range(300):
                     x = random_middle(inst, rng)
-                    sig = onelevel_signature(inst, x)
+                    sig = unate_signature(inst, x)
                     assert value_from_unate_signature("middle", sig) == inst.value(x)

@@ -13,12 +13,12 @@ from cubetest.sigoracle import (
     TermPattern,
     UnateSignature,
     mono_full_signature,
+    unate_signature,
 )
 from cubetest.transcripts import (
     ClassifierConfig,
     EdgeClass,
     MonoTranscript,
-    OneLevelSignatureOracle,
     SingleLevelTranscript,
     UnateSignatureOracle,
     UnateTranscript,
@@ -151,7 +151,7 @@ class TestConsistency:
 
 class TestMonoClassifier:
     def setup_method(self):
-        self.cfg_loose = ClassifierConfig(16, alpha=4.0, mono_drop_threshold=4)
+        self.cfg_loose = ClassifierConfig(16, alpha=4.0, mono_drop=4)
         self.cfg_std = ClassifierConfig(16, alpha=4.0)
 
     def test_first_query_is_clean(self):
@@ -309,12 +309,11 @@ class TestUnateTranscript:
     def test_single_level_scratch_equivalence(self, rng):
         for seed in range(20):
             inst = OneLevelInstance.sample(16, "no", seed=seed)
-            oracle = OneLevelSignatureOracle(inst)
             t = SingleLevelTranscript(16)
             pairs = []
             for _ in range(20):
                 x = random_middle(inst, rng)
-                sig = oracle.query(x)
+                sig = unate_signature(inst, x)
                 t.extend(x, sig)
                 pairs.append((x, sig))
             ref = induced_single_level_tuple(pairs)
@@ -339,7 +338,7 @@ class TestUnateClassifier:
         assert edge.kind is None
 
     def test_e1_agreement_drop(self):
-        cfg = ClassifierConfig(16, unate_drop_threshold=6)
+        cfg = ClassifierConfig(16, unate_drop=6)
         t = UnateTranscript(16, range(8))
         t.extend(point(16, [0, 1, 2, 8, 9]), UnateSignature(TermPattern("unique", 0), a=1), reveal={})
         x = point(16, [0, 3, 4, 10, 11, 12])  # disagrees widely inside A_0
@@ -366,7 +365,7 @@ class TestUnateClassifier:
 
     def test_e3_special_variable_collision(self):
         # cap raised so two breaches are allowed; they share delta -> E3
-        cfg = ClassifierConfig(16, breach_count_cap=5)
+        cfg = ClassifierConfig(16, breach_cap=5)
         inst = UnateInstance.from_parts(
             16,
             "no",
@@ -384,7 +383,7 @@ class TestUnateClassifier:
         assert edge == EdgeClass("E3", 0, 1)
 
     def test_priority_e1_over_e2(self):
-        cfg = ClassifierConfig(16, unate_drop_threshold=4)
+        cfg = ClassifierConfig(16, unate_drop=4)
         inst = UnateInstance.from_parts(
             16,
             "no",
@@ -415,7 +414,7 @@ class TestBalance:
     def test_adversarial_flip_fails(self):
         # disagreements all outside M (or 0->1 inside M): delta large but
         # delta_1 empty
-        cfg = ClassifierConfig(16, balance_delta_threshold=6, balance_floor=2)
+        cfg = ClassifierConfig(16, balance_delta=6, balance_min_ones=2)
         t = UnateTranscript(16, range(8))
         t.extend(
             point(16, [0, 1, 8, 9, 10, 11, 12, 13]),
@@ -429,7 +428,7 @@ class TestBalance:
         # the per-term check inspects the agreement set of each P_i, which
         # the subset form also covers (as Q = P_i): failing per-term must
         # fail the subset form; the converse need not hold
-        cfg = ClassifierConfig(16, balance_delta_threshold=5, balance_floor=2)
+        cfg = ClassifierConfig(16, balance_delta=5, balance_min_ones=2)
         seen_fail = 0
         for seed in range(20):
             inst = UnateInstance.sample(16, "no", seed=seed)
@@ -473,7 +472,7 @@ class TestNonadaptiveOutcome:
     def test_low_shared_ones_is_bad(self):
         # shared-ones floor at alpha=1: 8 - 4*4 < 0 is vacuous, so pin the
         # floor explicitly
-        cfg = ClassifierConfig(16, shared_ones_floor=2)
+        cfg = ClassifierConfig(16, shared_ones=2)
         t = SingleLevelTranscript(16)
         t.extend(point(16, [0, 1, 2, 3, 4, 5, 6, 7]), UnateSignature(TermPattern("unique", 0), a=1))
         t.extend(point(16, [0, 8, 9, 10, 11, 12, 13, 14]), UnateSignature(TermPattern("unique", 0), a=1))
@@ -485,11 +484,10 @@ class TestNonadaptiveOutcome:
         cfg = ClassifierConfig(16, alpha=4.0)
         for seed in range(15):
             inst = OneLevelInstance.sample(16, "no", seed=seed)
-            oracle = OneLevelSignatureOracle(inst)
             t = SingleLevelTranscript(16)
             for _ in range(15):
                 x = random_middle(inst, rng)
-                t.extend(x, oracle.query(x))
+                t.extend(x, unate_signature(inst, x))
             out = classify_nonadaptive_outcome(t, cfg)
             any_incons = any(
                 consistency_status(t, i) == "inconsistent" for i in t.I
@@ -550,7 +548,7 @@ class TestPinnedDumps:
         for seed in range(6):
             inst = MonoInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
             rng = RngStream(seed, "pinned-mono-dump")
-            cfg = ClassifierConfig(16, mono_drop_threshold=3 + seed % 3)
+            cfg = ClassifierConfig(16, mono_drop=3 + seed % 3)
             t = MonoTranscript(16)
             for _ in range(25):
                 x = random_middle(inst, rng)
@@ -572,7 +570,7 @@ class TestPinnedDumps:
             inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
             oracle = UnateSignatureOracle(inst)
             rng = RngStream(seed, "pinned-unate-dump")
-            cfg = ClassifierConfig(16, unate_drop_threshold=4, breach_count_cap=2)
+            cfg = ClassifierConfig(16, unate_drop=4, breach_cap=2)
             for _ in range(40):
                 x = BitString.random(16, rng)
                 try:
