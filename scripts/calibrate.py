@@ -30,8 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def metric_values(config: str, metric: str) -> list[float]:
     """Values of ``metric`` in the rows of ``configs/<config>.json``."""
     cfg = ExperimentConfig.from_json(json.loads((ROOT / "configs" / f"{config}.json").read_text()))
-    cfg.threads = os.cpu_count() or 1
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg, threads=os.cpu_count() or 1)
     if failed := _error_rows(rows_to_csv(rows)):
         raise SystemExit(f"{config}: failed seeds {', '.join(failed)}")
     return [r.value for r in rows if r.metric == metric]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import BitString, ResourceLimitError, RngStream
@@ -175,20 +174,14 @@ def _cmd_distance(args, parser) -> int:
 
 def _cmd_experiment(args, parser) -> int:
     cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
-    for field in ("threads", "out", "samples", "budget", "alpha", "format"):
+    for field in ("samples", "budget", "alpha"):
         value = getattr(args, field)
         if value is not None:
             setattr(cfg, field, value)
-    rows = run_experiment(cfg)
-    if cfg.out:
-        target = write_results(cfg, rows, cfg.out)
+    rows = run_experiment(cfg, args.threads)
+    if args.out:
+        target = write_results(cfg, rows, args.out)
         sys.stdout.write(f"wrote {len(rows)} rows to {target}\n")
-    elif cfg.format == "json":
-        # every field but wall time, the one volatile one
-        payload = [
-            {k: v for k, v in asdict(r).items() if k != "wall_time_s"} for r in rows
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(rows_to_csv(rows))
     # each failed seed was named on stderr, with its message, as it failed
@@ -255,16 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named experiment from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--samples", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="re-run a stored experiment and compare")
     p.add_argument("--results", required=True, help="directory with rows.csv + meta.json")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

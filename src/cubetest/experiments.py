@@ -2,11 +2,13 @@
 
 Every acceptance criterion is a named experiment run from a JSON config
 in ``configs/``; the acceptance suite and ``scripts/calibrate.py`` read
-their rows from ``run_experiment`` on those configs.  Results land in
-``<out>/<experiment>/<config-hash>/`` as ``rows.csv`` plus ``meta.json``.
-Reruns with an identical config produce identical metric columns
-(wall-time is the only volatile field), which is what the ``verify``
-command enforces.
+their rows from ``run_experiment`` on those configs.  A config holds only
+what determines its rows and is hashed whole; the thread count and the
+output directory are run settings, arguments of ``run_experiment`` and
+``write_results``.  Results land in ``<out>/<experiment>/<config-hash>/``
+as ``rows.csv`` plus ``meta.json`` (schema 2).  Reruns with an identical
+config produce identical metric columns (wall-time is the only volatile
+field), which is what the ``verify`` command enforces.
 
 Parallelism is by seed only (a worker owns whole seeds, never parts of a
 run), so per-run determinism is independent of the thread count.
@@ -79,8 +81,11 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-SCHEMA_VERSION = 1
-_HASH_EXCLUDED = ("out", "threads")  # do not affect the computed rows
+SCHEMA_VERSION = 2
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass
@@ -96,30 +101,34 @@ class ExperimentConfig:
     budget: int = 1000
     alpha: float = 4.0
     tester: Optional[str] = None
-    stage_overrides: dict = field(default_factory=dict)
     queries_per_transcript: int = 30
-    threads: int = 1
-    out: Optional[str] = None
-    format: str = "csv"
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        seeds = obj.get("seeds", list(range(10)))
-        if isinstance(seeds, dict):
-            seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
-        known = {k for k in cls.__dataclass_fields__}
-        unknown = set(obj) - known - {"seeds"}
+        """Parse a config; a malformed grid raises ``ValueError`` naming the field."""
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {k: v for k, v in obj.items() if k in known and k != "seeds"}
-        return cls(seeds=[int(s) for s in seeds], **kwargs)
+        seeds = obj.get("seeds", list(range(10)))
+        if (isinstance(seeds, dict) and seeds.keys() == {"start", "count"}
+                and _is_int_list(list(seeds.values()))):
+            seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
+        worlds = obj.get("worlds", [])
+        for name, ok, expected in (
+            ("n", _is_int_list(obj.get("n", [])), "a list of ints"),
+            ("seeds", _is_int_list(seeds), "a list of ints or a {start, count} dict"),
+            ("worlds", isinstance(worlds, list) and all(w in ("yes", "no") for w in worlds),
+             'a list drawn from "yes"/"no"'),
+        ):
+            if not ok:
+                raise ValueError(f"config field {name!r}: expected {expected}, got {obj[name]!r}")
+        return cls(**{**obj, "seeds": seeds})
 
     def to_json(self) -> dict:
         return asdict(self)
 
     def config_hash(self) -> str:
-        obj = {k: v for k, v in self.to_json().items() if k not in _HASH_EXCLUDED}
-        blob = json.dumps(obj, sort_keys=True).encode()
+        blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -301,10 +310,7 @@ def _attack_rates_task(cfg: ExperimentConfig, n: int, world: str, seed: int) -> 
     tester = cfg.tester or "edge"
     family = cfg.family or _ATTACK_FAMILY[tester]
     inst = sample_instance(family, n, world, seed, term_len=_term_len(n))
-    tcfg = TesterConfig(
-        q=cfg.budget, seed=seed, stage_overrides=dict(cfg.stage_overrides)
-    )
-    verdict = _ATTACKS[tester](inst.value, n, tcfg)
+    verdict = _ATTACKS[tester](inst.value, n, TesterConfig(q=cfg.budget, seed=seed))
     witness_ok = 1.0
     if verdict.decision == "reject":
         witness_ok = float(verdict.witness.verify(inst.value))
@@ -397,10 +403,11 @@ def _run_task(args) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, seed, n, world, *m, wall_time_s=dt) for m in metrics]
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """Run the named experiment over its (n, world, seed) grid.
 
-    The experiments of ``_NO_WORLD_ONLY`` run on world ``"no"`` alone,
+    ``threads`` worker processes share the seeds; the rows do not depend
+    on it.  The experiments of ``_NO_WORLD_ONLY`` run on world ``"no"`` alone,
     whatever ``cfg.worlds`` holds.  Per-seed failures are recorded as
     ``error:*`` metric rows; the run continues.
     """
@@ -417,7 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for seed in cfg.seeds
     ]
     results: list[ResultRow] = []
-    for rows in _pmap(cfg.threads, _run_task, tasks):
+    for rows in _pmap(threads, _run_task, tasks):
         results.extend(rows)
     results.sort(key=ResultRow.key)
     return results
@@ -479,24 +486,26 @@ def _error_rows(csv_text: str) -> list[str]:
     ]
 
 
-def verify_results(results_dir: str | Path, threads: Optional[int] = None) -> tuple[bool, str]:
+def verify_results(results_dir: str | Path, threads: int = 1) -> tuple[bool, str]:
     """Re-run the config stored next to a results file and compare rows.
 
     Returns (ok, message); metric columns must match exactly, wall time is
     ignored, and an ``error:*`` row in the stored or the fresh rows fails
     the check (a seed that fails the same way twice is still a failure).
+    Results of another schema version fail without a rerun.
     """
     target = Path(results_dir)
     meta = json.loads((target / "meta.json").read_text())
+    if (version := meta.get("schema_version")) != SCHEMA_VERSION:
+        return False, (f"meta.json has schema version {version}, not {SCHEMA_VERSION}; "
+                       "re-run the experiment to regenerate the results")
     cfg = ExperimentConfig.from_json(meta["config"])
-    if threads is not None:
-        cfg.threads = threads
     if meta.get("config_hash") != cfg.config_hash():
         return False, "config hash mismatch between meta.json and recomputed hash"
     old = (target / "rows.csv").read_text()
     if failed := _error_rows(old):
         return False, f"stored rows hold failed seeds: {', '.join(failed)}"
-    fresh = rows_to_csv(run_experiment(cfg))
+    fresh = rows_to_csv(run_experiment(cfg, threads))
     if failed := _error_rows(fresh):
         return False, f"the rerun has failed seeds: {', '.join(failed)}"
     if _stable_columns(fresh) != _stable_columns(old):

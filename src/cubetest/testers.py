@@ -71,20 +71,16 @@ class CountingOracle:
 
 @dataclass
 class TesterConfig:
-    """Budget, seed, and per-stage size overrides."""
+    """Query budget and seed of one tester run."""
 
     __test__ = False  # not a pytest collection target
 
     q: int
     seed: int = 0
-    stage_overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"query budget must be >= 1, got {self.q}")
-
-    def stage(self, name: str, default: int) -> int:
-        return int(self.stage_overrides.get(name, default))
 
 
 @dataclass(frozen=True)
@@ -188,17 +184,15 @@ def _reject(
     return Verdict("reject", witness, oracle.queries_used, stages, seed)
 
 
-def _find_seed(
-    oracle: CountingOracle, rng: RngStream, n: int, cfg: TesterConfig
-) -> Optional[BitString]:
-    """A random 1-point of the seed window, or None after ``seed_tries``.
+def _find_seed(oracle: CountingOracle, rng: RngStream, n: int) -> Optional[BitString]:
+    """A random 1-point of the seed window, or None after 200 tries.
 
     Seed weights sit just above the band center: the multiplexer is
     balanced there (a unique satisfied term is likeliest), while
     sqrt(n)-sized down-flips still cannot leave the middle layers."""
-    lo = cfg.stage("seed_weight_low", math.ceil(n / 2))
-    hi = cfg.stage("seed_weight_high", math.ceil(n / 2) + 2)
-    for _ in range(cfg.stage("seed_tries", 200)):
+    lo = math.ceil(n / 2)
+    hi = lo + 2
+    for _ in range(200):
         cand = sample_middle_layer(n, lo, hi, rng)
         if oracle(cand) == 1:
             return cand
@@ -265,14 +259,14 @@ def flipped_dnf_attack(fn: Callable[[BitString], int], n: int, cfg: TesterConfig
     m = max(1, math.isqrt(n))
     stages: dict[str, int] = {}
     try:
-        x = _find_seed(oracle, rng, n, cfg)
+        x = _find_seed(oracle, rng, n)
         stages["seed"] = oracle.queries_used
         if x is None:
             return _accept(oracle, stages, cfg.seed)
 
         a1 = sorted(x.one_indices())
-        rounds = cfg.stage("stage1_rounds", math.ceil(n**0.25))
-        piece1 = cfg.stage("stage1_piece", m)
+        rounds = math.ceil(n**0.25)
+        piece1 = m
         safe_ones = _shrink_pass(oracle, x, a1, rounds, piece1, 1, rng)
         stages["stage1"] = oracle.queries_used
         if not safe_ones:
@@ -323,31 +317,33 @@ def two_level_attack(
     hi_band = n / 2 + math.sqrt(n)
     stages: dict[str, int] = {}
     try:
-        x = _find_seed(oracle, rng, n, cfg)
+        x = _find_seed(oracle, rng, n)
         stages["seed"] = oracle.queries_used
         if x is None:
             return _accept(oracle, stages, cfg.seed)
 
-        # Stage sizes: the repetition counts keep the sketch's exponents but
-        # carry calibrated multipliers -- at desk-scale n the survival
-        # probability of a sqrt(n)-sized flip is a small constant, so the
-        # bare counts collect far too few safe coordinates.  Pieces smaller
-        # than sqrt(n) trade queries for per-flip survival.
+        # Stage sizes are fixed functions of n, so the rows of an experiment
+        # depend on its config alone.  The repetition counts keep the
+        # sketch's exponents but carry calibrated multipliers -- at
+        # desk-scale n the survival probability of a sqrt(n)-sized flip is
+        # a small constant, so the bare counts collect far too few safe
+        # coordinates.  Pieces smaller than sqrt(n) trade queries for
+        # per-flip survival.
         a1 = sorted(x.one_indices())
-        rounds1 = cfg.stage("stage1_rounds", math.ceil(8 * n ** (1.0 / 3.0)))
-        piece1 = cfg.stage("stage1_piece", max(2, m // 2))
+        rounds1 = math.ceil(8 * n ** (1.0 / 3.0))
+        piece1 = max(2, m // 2)
         c1 = _shrink_pass(oracle, x, a1, rounds1, piece1, 1, rng)
         stages["stage1"] = oracle.queries_used
         if not c1:
             return _accept(oracle, stages, cfg.seed)
 
-        outer = cfg.stage("outer_rounds", 4 * math.ceil(n ** (1.0 / 6.0)))
-        c0_target = cfg.stage("c0_size", math.ceil(n ** (5.0 / 6.0)))
-        rounds3 = cfg.stage("stage3_rounds", math.ceil(n ** (2.0 / 3.0)))
-        piece3 = cfg.stage("stage3_piece", max(2, m // 3))
-        parts = cfg.stage("stage4_parts", 2 * math.ceil(n ** (1.0 / 6.0)) + 2)
-        final_piece = cfg.stage("final_piece", max(2, m // 4))
-        majority = cfg.stage("majority_reps", 3)
+        outer = 4 * math.ceil(n ** (1.0 / 6.0))
+        c0_target = math.ceil(n ** (5.0 / 6.0))
+        rounds3 = math.ceil(n ** (2.0 / 3.0))
+        piece3 = max(2, m // 3)
+        parts = 2 * math.ceil(n ** (1.0 / 6.0)) + 2
+        final_piece = max(2, m // 4)
+        majority = 3
         # drop y slightly below the band center so the later up-flips
         # (stage 3 shrink passes, final pieces) stay inside the band
         y_target = n // 2 - max(1, m // 3)

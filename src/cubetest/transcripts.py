@@ -577,8 +577,8 @@ class UnateSignatureOracle:
         return int(self.inst._dict_vars[i])
 
     def query(self, x: BitString) -> tuple[UnateSignature, dict[int, int]]:
+        sig = unate_signature(self.inst, x)  # an out-of-band query raises, uncounted
         self.queries_used += 1
-        sig = unate_signature(self.inst, x)
         revealed = self.transcript.extend(x, sig, reveal=self._special_var)
         return sig, revealed
 

@@ -65,8 +65,7 @@ CONFIGS = {
 @functools.cache
 def _config_rows(name: str) -> tuple[ResultRow, ...]:
     cfg = ExperimentConfig.from_json(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
-    cfg.threads = os.cpu_count() or 1
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg, threads=os.cpu_count() or 1)
     if failed := _error_rows(rows_to_csv(rows)):
         pytest.fail(f"{name}: failed seeds {', '.join(failed)}")
     return tuple(rows)

@@ -245,8 +245,7 @@ class TestExperimentRoundtrip:
 
         cfg = self.cfg()
         serial = rows_to_csv(run_experiment(cfg))
-        cfg.threads = 2
-        parallel = rows_to_csv(run_experiment(cfg))
+        parallel = rows_to_csv(run_experiment(cfg, threads=2))
         assert _stable_columns(serial) == _stable_columns(parallel)
 
     def test_unknown_experiment_rejected(self):
@@ -259,6 +258,37 @@ class TestExperimentRoundtrip:
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentConfig.from_json({"experiment": "monotone-check", "zzz": 1})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 16),
+            ("n", [16.0]),
+            ("seeds", 3),
+            ("seeds", {"start": 0}),
+            ("seeds", {"start": 0, "count": "3"}),
+            ("worlds", "yes"),
+            ("worlds", ["maybe"]),
+        ],
+    )
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, field, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"experiment": "monotone-check", "n": [4], field: value}))
+        assert run_cli("experiment", "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_verify_rejects_schema_1_results(self, tmp_path, capsys):
+        cfg = self.cfg()
+        target = write_results(cfg, run_experiment(cfg), tmp_path)
+        meta = json.loads((target / "meta.json").read_text())
+        # a schema-1 meta.json: the run settings and stage overrides were config fields
+        meta["schema_version"] = 1
+        meta["config"].update(stage_overrides={}, threads=1, out=None, format="csv")
+        (target / "meta.json").write_text(json.dumps(meta))
+        assert run_cli("verify", "--results", str(target)) == 1
+        out = capsys.readouterr().out
+        assert "schema version 1" in out and "re-run" in out
+
 
 class TestTranscriptOut:
     def test_eval_writes_jsonl(self, tmp_path, capsys):
@@ -266,16 +296,16 @@ class TestTranscriptOut:
         run_cli("sample", "--family", "unate", "--n", "16", "--world", "no",
                 "--seed", "2", "--out", str(inst))
         dump = tmp_path / "t.jsonl"
-        code = run_cli(
+        assert run_cli(
             "eval", "--instance", str(inst), "--random", "12",
             "--rng-seed", "7", "--transcript-out", str(dump),
-        )
+        ) == 0
         capsys.readouterr()
-        if code == 0:
-            lines = dump.read_text().splitlines()
-            assert lines
-            rec = json.loads(lines[0])
-            assert {"x", "signature", "sizes"} <= set(rec)
+        # at n=16 the unate band holds every point, so each draw is recorded
+        lines = dump.read_text().splitlines()
+        assert len(lines) == 12
+        rec = json.loads(lines[0])
+        assert {"x", "signature", "sizes"} <= set(rec)
 
     def test_eval_writes_onelevel_jsonl(self, tmp_path, capsys):
         inst = tmp_path / "i.json"

@@ -1,15 +1,15 @@
 """Pinned rows of every named experiment, the process-pool error path and
 the shipped configs.
 
-The digests cover the stable columns of ``rows.csv`` (every column but
-wall time) and the config hash, for a tiny grid of each experiment with
-both worlds in it (the no-world-only experiments run world "no" alone).
-They change only when an experiment's rows or the config hash change.
-The ``likelihood-equivalence`` pin moved when that body began to emit
-``mono_compared`` and the ``orientation-search`` pin when it began to emit
-``found``; with those rows dropped, each gives its earlier digest
-(89cc49f2... and d0d91cee...).
-"""
+Each pin is two halves.  The rows digest covers the stable columns of
+``rows.csv`` (every column but wall time) for a tiny grid of each
+experiment with both worlds in it (the no-world-only experiments run world
+"no" alone); it changes only when an experiment's rows change.  The config
+hash names the results directory; it changes only when what a config holds
+changes, so a hash move touches the hashes and leaves the rows digests be.
+The ``likelihood-equivalence`` rows moved when that body began to emit
+``mono_compared``, and the ``orientation-search`` rows when it began to
+emit ``found``."""
 
 from __future__ import annotations
 
@@ -33,75 +33,85 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 _BOTH = {"worlds": ["yes", "no"], "seeds": [0, 1, 2]}
 
-# (id, config, blake2b digest of the config hash and the stable columns)
+# (id, config, blake2b digest of the stable columns, config hash)
 PINNED = [
     ("monotone-check",
      {"experiment": "monotone-check", "family": "mono", "n": [9, 16]},
-     "7fd7599794a60e2f450a152ddea61b39"),
+     "3bbbfcabcb58775cae824e0f1c304de0", "1ae49286cf2a2a50"),
     ("unate-check",
      {"experiment": "unate-check", "family": "unate", "n": [16]},
-     "5531b76b157b3171261637fe6a239f4d"),
+     "9e16f426af8d20c69db7a7fd71de5116", "a0286dd824bad5ba"),
     ("signature-soundness-mono",
      {"experiment": "signature-soundness", "family": "mono", "n": [16], "samples": 30},
-     "f179b4588e65dfd7e49aceefbeddfcbc"),
+     "ddcc382a9a851d2f3cdb2414bdfd961b", "7ee4d6bd7d6d898c"),
     ("signature-soundness-onelevel",
      {"experiment": "signature-soundness", "family": "onelevel", "n": [16], "samples": 30},
-     "7b933c4f338ffdd1ebc2eb976f0aae41"),
+     "ddcc382a9a851d2f3cdb2414bdfd961b", "78cc43697499cec5"),
     ("signature-soundness-unate",
      {"experiment": "signature-soundness", "family": "unate", "n": [16], "samples": 30},
-     "6a6bbde692507bf294224beaffb4a0ed"),
+     "ddcc382a9a851d2f3cdb2414bdfd961b", "9220794ca5e03ebf"),
     ("tuple-axioms",
      {"experiment": "tuple-axioms", "family": "mono", "n": [16],
       "queries_per_transcript": 10},
-     "fd08ddd9c607ed81a7337755a68974d4"),
+     "ad3564ed05bf2977ff1cc7c15a3d8a54", "b225428174f8c7a0"),
     ("likelihood-equivalence",
      {"experiment": "likelihood-equivalence", "n": [16], "queries_per_transcript": 6},
-     "cb6aa31597373212adef460677b79111"),
+     "86463304c65bb8caa118f06d567b5e9b", "8ce8f29577f2f70e"),
     ("farness-estimate",
      {"experiment": "farness-estimate", "family": "mono", "n": [16], "samples": 500},
-     "25b19571e3b998ba490fbec761301959"),
+     "3229206865086b3839dbc20c5222f017", "8a2b017a4da7dd12"),
     ("farness-consistency",
      {"experiment": "farness-consistency", "family": "mono", "n": [9]},
-     "6f07c26cc6e835878c4771346196fb44"),
+     "ce203f27337ac1aaf7fccaeb00e10310", "ef1f8ee15ad2e878"),
     ("quadrant-farness",
      {"experiment": "quadrant-farness", "family": "quadrant", "n": [4]},
-     "f49bff0de902afc6055c62f6a6319978"),
+     "723829697393f8c6f0ff0e3905dd7725", "baffbb3b21dec484"),
     ("attack-rates-edge",
      {"experiment": "attack-rates", "tester": "edge", "n": [16], "budget": 400},
-     "e65cc3ed211f173b7515976dbeec8e94"),
+     "5dacab82c34e268be8f2d8dbceeb09e2", "a577ff9e981eb585"),
     ("attack-rates-flipdnf",
      {"experiment": "attack-rates", "tester": "flipdnf", "n": [16, 100], "budget": 1500},
-     "bce5156f8c88e8992471c5afb0496701"),
+     "5f872a33a1da5b7ef0ce6079ace69430", "691610cdfa39f42b"),
     ("attack-rates-two-level",
      {"experiment": "attack-rates", "tester": "two-level", "n": [16, 100], "budget": 1500},
-     "d675980c9f490fab38877fbcbbd6dfdb"),
+     "2bafaf2ff18e22733c60c1beee3eb3e7", "fb0d090d3f02fa76"),
     ("orientation-search",
      {"experiment": "orientation-search", "n": [16], "budget": 20},
-     "c09e8ba44a9350e289abc280afe55f8e"),
+     "2b789249baa5ebc70689c392bee2cdcb", "48ec18b7a95eabec"),
     ("classifier-sanity",
      {"experiment": "classifier-sanity", "family": "mono", "n": [16],
       "queries_per_transcript": 10},
-     "b18fd40c26dab82c86d3005677f727bc"),
+     "9eb9cf4c54f3a5bcb4a3dc9b58d75340", "a65890ee4183f892"),
 ]
 
 
-def _digest(cfg: ExperimentConfig) -> str:
+def _rows_digest(cfg: ExperimentConfig) -> str:
     h = hashlib.blake2b(digest_size=16)
-    h.update(cfg.config_hash().encode())
     h.update(repr(_stable_columns(rows_to_csv(run_experiment(cfg)))).encode())
     return h.hexdigest()
 
 
+def _pinned_cfg(obj: dict) -> ExperimentConfig:
+    return ExperimentConfig.from_json({**_BOTH, **obj})
+
+
 @pytest.mark.parametrize(
-    "obj, digest", [(obj, d) for _, obj, d in PINNED], ids=[i for i, _, _ in PINNED]
+    "obj, digest", [(obj, d) for _, obj, d, _ in PINNED], ids=[i for i, *_ in PINNED]
 )
 def test_rows_pinned(obj, digest):
-    assert _digest(ExperimentConfig.from_json({**_BOTH, **obj})) == digest
+    assert _rows_digest(_pinned_cfg(obj)) == digest
+
+
+@pytest.mark.parametrize(
+    "obj, config_hash", [(obj, h) for _, obj, _, h in PINNED], ids=[i for i, *_ in PINNED]
+)
+def test_config_hash_pinned(obj, config_hash):
+    assert _pinned_cfg(obj).config_hash() == config_hash
 
 
 def test_pins_cover_every_experiment():
-    assert {obj["experiment"] for _, obj, _ in PINNED} == set(EXPERIMENTS)
-    testers = {obj["tester"] for _, obj, _ in PINNED if obj["experiment"] == "attack-rates"}
+    assert {obj["experiment"] for _, obj, *_ in PINNED} == set(EXPERIMENTS)
+    testers = {obj["tester"] for _, obj, *_ in PINNED if obj["experiment"] == "attack-rates"}
     assert testers == set(_ATTACKS)
 
 
@@ -124,7 +134,7 @@ class TestErrorRowsInPool:
                  "n must be even, got 15" for seed in (0, 1)]
         serial = run_experiment(ExperimentConfig.from_json(obj))
         assert capfd.readouterr().err.splitlines() == named
-        pooled = run_experiment(ExperimentConfig.from_json({**obj, "threads": 2}))
+        pooled = run_experiment(ExperimentConfig.from_json(obj), threads=2)
         assert sorted(capfd.readouterr().err.splitlines()) == named
         errors = [r for r in pooled if r.metric.startswith("error:")]
         assert [(r.n, r.world, r.seed, r.metric) for r in errors] == [
@@ -139,3 +149,33 @@ def test_shipped_config_loads(path):
     assert cfg.experiment in EXPERIMENTS
     assert cfg.tester is None or cfg.tester in _ATTACKS
     assert cfg.family is None or cfg.family in families._FAMILIES
+
+
+# the results directory name of each shipped config (``configs/<stem>.json``)
+SHIPPED_CONFIG_HASHES = {
+    "criterion_01_monotone_check": "e18bc3afe2ca5593",
+    "criterion_02_unate_check": "c4c9b0ab86b5204a",
+    "criterion_03_signature_soundness_mono": "d9918ff61d7ace1d",
+    "criterion_03_signature_soundness_onelevel": "35ac059f200842ad",
+    "criterion_03_signature_soundness_unate": "61722508bf54e05a",
+    "criterion_04_tuple_axioms": "ab0efcaeff487fcb",
+    "criterion_05_likelihood_equivalence": "dc3f0beca3697f12",
+    "criterion_06_farness_estimate": "0c7210462fd926fe",
+    "criterion_07_farness_consistency": "44ed0937954a441f",
+    "criterion_08_quadrant_farness": "39154dc8abc74bc1",
+    "criterion_09_10_attack_rates_flipdnf_no": "bf1106d577c305a8",
+    "criterion_09_10_attack_rates_flipdnf_yes": "9c4c361bbfcdb7cd",
+    "criterion_09_10_attack_rates_two_level_no": "a5353336b3bbd675",
+    "criterion_09_10_attack_rates_two_level_yes": "45859a8fb82a15a8",
+    "criterion_11_orientation_search": "f85e6e44fe8082be",
+    "criterion_11_orientation_search_size8": "10fde2c794b610d8",
+    "criterion_12_classifier_sanity": "5083c193a58d50d8",
+}
+
+
+def test_shipped_config_hashes_pinned():
+    hashes = {
+        path.stem: ExperimentConfig.from_json(json.loads(path.read_text())).config_hash()
+        for path in CONFIG_DIR.glob("*.json")
+    }
+    assert hashes == SHIPPED_CONFIG_HASHES

@@ -118,15 +118,6 @@ class TestAttacks:
                 assert inst.value(v.witness.upper) == 0
         assert rejects > 0
 
-    def test_stage_overrides_change_behavior(self):
-        inst = MonoInstance.sample(100, "no", seed=3)
-        small = two_level_attack(
-            inst.value,
-            100,
-            TesterConfig(q=4000, seed=1, stage_overrides={"stage1_rounds": 1}),
-        )
-        assert small.queries_used <= 4000
-
     def test_budget_exhaustion_accepts(self):
         inst = MonoInstance.sample(100, "no", seed=9)
         v = two_level_attack(inst.value, 100, TesterConfig(q=20, seed=2))

@@ -268,6 +268,13 @@ class TestUnateTranscript:
         assert oracle.transcript.I_B == {0}
         assert oracle.transcript.delta[0] == 8
 
+    def test_out_of_band_query_is_not_counted(self):
+        inst = UnateInstance.sample(36, "no", seed=1)
+        oracle = UnateSignatureOracle(inst)
+        with pytest.raises(OutOfBandError):
+            oracle.query(inst.orientation)
+        assert oracle.queries_used == len(oracle.transcript) == 0
+
     def test_breach_by_overlap_shrink(self):
         inst = UnateInstance.from_parts(
             100,
