@@ -324,9 +324,10 @@ class RngStream:
         )
 
     def draw(self, upper: int) -> int:
-        """Uniform integer in ``1..upper`` (matching the 1-based set [m])."""
-        if upper < 1:
-            raise ValueError(f"range must be >= 1, got {upper}")
+        """Uniform integer in ``1..upper`` (matching the 1-based set [m]),
+        for ``1 <= upper <= 2**64``."""
+        if not 1 <= upper <= 1 << 64:
+            raise ValueError(f"range must be in 1..2**64, got {upper}")
         idx = self._calls
         self._calls += 1
         if upper == 1:

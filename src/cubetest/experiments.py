@@ -40,7 +40,7 @@ from .distance import (
     unate_dist_lower_bound,
     witness_edge_family,
 )
-from .families import QuadrantInstance, MonoInstance, UnateInstance, sample_instance
+from .families import _FAMILIES, QuadrantInstance, MonoInstance, UnateInstance, sample_instance
 from .likelihood import (
     mono_leaf_likelihood,
     mono_leaf_likelihood_bruteforce,
@@ -105,7 +105,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config; a malformed grid raises ``ValueError`` naming the field."""
+        """Parse a config; a malformed grid or a missing or unknown
+        experiment, family or tester raises ``ValueError`` naming the field."""
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -115,13 +116,18 @@ class ExperimentConfig:
             seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
         worlds = obj.get("worlds", [])
         for name, ok, expected in (
+            ("experiment", obj.get("experiment") in tuple(EXPERIMENTS),
+             f"one of {sorted(EXPERIMENTS)}"),
+            ("family", obj.get("family") in (None, *_FAMILIES), f"one of {sorted(_FAMILIES)}"),
+            ("tester", obj.get("tester") in (None, *_ATTACKS), f"one of {sorted(_ATTACKS)}"),
             ("n", _is_int_list(obj.get("n", [])), "a list of ints"),
             ("seeds", _is_int_list(seeds), "a list of ints or a {start, count} dict"),
             ("worlds", isinstance(worlds, list) and all(w in ("yes", "no") for w in worlds),
              'a list drawn from "yes"/"no"'),
         ):
             if not ok:
-                raise ValueError(f"config field {name!r}: expected {expected}, got {obj[name]!r}")
+                raise ValueError(
+                    f"config field {name!r}: expected {expected}, got {obj.get(name)!r}")
         return cls(**{**obj, "seeds": seeds})
 
     def to_json(self) -> dict:

@@ -30,6 +30,12 @@ the first time it is asked for, which is what makes dimensions with
 ``N**2`` clause cells feasible; a miss derives only the row asked for, so
 the order of queries never changes a row.  A hand-built one
 (``from_parts``, the ``explicit`` JSON form) starts with every row pinned.
+
+Per-query scans: a query is answered from its ``BitString.bits`` integer
+against rows packed into ``uint64`` words (see :func:`_hits`), one kernel
+for the terms and clauses of every family.  Term words are packed when an
+instance is built; the packed clause block of a two-level term joins the
+row store the first time a query reaches that term.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _MASK64,
     BitString,
     IndexSet,
     ResourceLimitError,
@@ -135,14 +142,40 @@ def _first_two(points: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.nd
     return count, first
 
 
-def _hits(xb: np.ndarray, terms: np.ndarray) -> list[int]:
-    """Per-query scan: the first two rows of ``terms`` (variable indices)
-    whose variables are all set in the boolean point ``xb``, ascending;
-    the multiplexer tells apart only none, one and several.  Clauses
-    falsified by ``x`` are the terms hit by ``~x``.  One pass over all
-    rows: its boolean ``len(terms) x m`` temporary is a quarter of the size
-    of ``terms``."""
-    return [int(k) for k in np.flatnonzero(xb[terms].all(axis=1))[:2]]
+# Per-query scans see a point as its ``BitString.bits`` integer and hold the
+# rows (terms or clauses) packed column-major: ``masks[k, t]`` is the
+# ``uint64`` word of row ``t`` over variables ``64k .. 64k + 63``, bit
+# ``v % 64`` for variable ``v``.  A row is hit when none of its words has a
+# bit outside the point.
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Packed ``(ceil(n/64), len(rows))`` words of a boolean ``(rows, n)``
+    matrix."""
+    n = rows.shape[1]
+    packed = np.zeros((len(rows), -(-n // 64) * 8), dtype=np.uint8)  # whole words
+    packed[:, : (n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").T)
+
+
+def _pack_members(n: int, members: np.ndarray) -> np.ndarray:
+    """Packed words of rows of variable indices (duplicates allowed)."""
+    rows = np.zeros((len(members), n), dtype=bool)
+    rows[np.arange(len(members))[:, None], members] = True
+    return _pack(rows)
+
+
+def _hits(bits: int, masks: np.ndarray) -> list[int]:
+    """Per-query scan: the first two packed rows of ``masks`` whose
+    variables are all set in the point ``bits``, ascending; the multiplexer
+    tells apart only none, one and several.  Clauses falsified by ``x`` are
+    the rows hit by the complement of ``x``.  An empty row is hit by every
+    point."""
+    out = ~bits  # the words of the coordinates outside the point
+    bad = masks[0] & (out & _MASK64)
+    for k in range(1, len(masks)):
+        bad |= masks[k] & ((out >> (64 * k)) & _MASK64)
+    return (bad == 0).nonzero()[0][:2].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +274,8 @@ class MonoInstance:
     dictator variables, held in one store keyed by ``(role, i)``.  A
     sampled instance derives a row from ``(seed, role, i)`` the first time
     it is asked for; a hand-built instance starts with every row pinned.
+    A third role holds the packed words of a clause block, built from the
+    block on the first query that needs them.
     """
 
     family = "mono"
@@ -261,6 +296,7 @@ class MonoInstance:
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
+        self._term_words = _pack_members(n, self._terms)
         self._pinned = clauses is not None
         self._rows: dict[tuple[str, int], np.ndarray] = {}
         if self._pinned:
@@ -350,11 +386,14 @@ class MonoInstance:
 
     def satisfied_terms(self, x: BitString) -> list[int]:
         """Indices of the first two satisfied terms, ascending."""
-        return _hits(x.to_array(), self._terms)
+        return _hits(x.bits, self._term_words)
 
     def falsified_clauses(self, i: int, x: BitString) -> list[int]:
         """Indices of the first two clauses of row ``i`` falsified by x."""
-        return _hits(~x.to_array(), self.clause_block(i))
+        words = self._rows.get(("clause_words", i))
+        if words is None:
+            words = self._rows["clause_words", i] = _pack_members(self.n, self.clause_block(i))
+        return _hits(x.bits ^ ((1 << self.n) - 1), words)
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""
@@ -480,6 +519,7 @@ class FlippedDnfInstance:
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
+        self._term_words = _pack_members(n, self._terms)
         self.flip_coords = flip_set
         if world == "yes" and len(flip_set) != 0:
             raise ValueError("yes world must have an empty flip set")
@@ -520,7 +560,7 @@ class FlippedDnfInstance:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
 
     def dnf_value(self, x: BitString) -> int:
-        return int(bool(_hits(x.to_array(), self._terms)))
+        return int(bool(_hits(x.bits, self._term_words)))
 
     def value(self, x: BitString) -> int:
         if x.n != self.n:
@@ -620,6 +660,7 @@ class UnateInstance:
         self.M = frozenset(int(i) for i in m_sorted)
         self.Mbar_sorted = _complement(n, self.M_sorted).astype(np.int32)
         self._masks = np.ascontiguousarray(term_masks, dtype=bool)  # (N, n)
+        self._term_words = _pack(self._masks)
         self.N = self._masks.shape[0]
         self._dict_vars = np.ascontiguousarray(dict_vars, dtype=np.int32)
         self._dict_negated = np.ascontiguousarray(dict_negated, dtype=bool)
@@ -730,9 +771,7 @@ class UnateInstance:
 
     def satisfied_terms_base(self, y: BitString) -> list[int]:
         """Indices of the first two terms satisfied by ``y``, ascending."""
-        yb = y.to_array()
-        sat = ~(self._masks & ~yb).any(axis=1)
-        return [int(i) for i in np.flatnonzero(sat)[:2]]
+        return _hits(y.bits, self._term_words)
 
     def route_base(self, y: BitString) -> Route:
         sat = self.satisfied_terms_base(y)

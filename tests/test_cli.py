@@ -268,14 +268,28 @@ class TestExperimentRoundtrip:
             ("seeds", {"start": 0, "count": "3"}),
             ("worlds", "yes"),
             ("worlds", ["maybe"]),
+            ("experiment", None),  # None: the field is left out
         ],
     )
     def test_malformed_grid_exits_2(self, tmp_path, capsys, field, value):
+        cfg = {"experiment": "monotone-check", "n": [4], field: value}
+        if value is None:
+            del cfg[field]
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"experiment": "monotone-check", "n": [4], field: value}))
+        cfg_file.write_text(json.dumps(cfg))
         assert run_cli("experiment", "--config", str(cfg_file)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("field, known", [("family", "'mono'"), ("tester", "'two-level'")])
+    def test_unknown_name_exits_2_before_any_seed(self, tmp_path, capsys, field, known):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"experiment": "attack-rates", "n": [16], "seeds": [0, 1], field: "nope"}))
+        assert run_cli("experiment", "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err and known in err
+        assert "failed:" not in err  # no seed ran
 
     def test_verify_rejects_schema_1_results(self, tmp_path, capsys):
         cfg = self.cfg()

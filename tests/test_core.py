@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -135,6 +136,44 @@ class TestRngStream:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             RngStream(0).draw(0)
+        # past 2**64 no 64-bit word is below the rejection limit
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            RngStream(0).draw(2**64 + 1)
+
+    # blake2b of the repr of the first 50 draws of RngStream(7, "pin") at
+    # each range, and of the bits of the first 20 BitString.random points;
+    # a faster draw or sampler must reproduce them exactly
+    DRAW_DIGESTS = {
+        2: "c2a62a3d1caa7a5499f943ddcb5670bf",
+        1000: "ce6071da2a8ded738a54517e48e61b01",
+        2**16: "4ab87ff3075374fce3f9602a7938a4ce",
+        2**64: "1bd53b9a462d65683bbdf65ee8d5997b",
+        10**9 + 7: "d0e8a2d380c5cd566a5aafa694e92d15",
+    }
+    POINT_DIGESTS = {
+        100: "3b28c6c131e680ccc3a4e704d411e44e",
+        16: "73a0070c57c2430ee18a1c9fb45aded0",
+    }
+
+    @staticmethod
+    def _digest(values: list[int]) -> str:
+        return hashlib.blake2b(repr(values).encode(), digest_size=16).hexdigest()
+
+    def test_draws_pinned(self):
+        got = {}
+        for upper in self.DRAW_DIGESTS:
+            s = RngStream(7, "pin")
+            got[upper] = self._digest([s.draw(upper) for _ in range(50)])
+        assert got == self.DRAW_DIGESTS
+        s = RngStream(7, "pin")
+        assert [s.draw(2**64) for _ in range(2)] == [531225418509381289, 8209200834534633894]
+
+    def test_random_points_pinned(self):
+        got = {}
+        for n in self.POINT_DIGESTS:
+            s = RngStream(7, "pin")
+            got[n] = self._digest([BitString.random(n, s).bits for _ in range(20)])
+        assert got == self.POINT_DIGESTS
 
     def test_uniformity_chi_square(self):
         # frequency of each value over 1e6 draws with range 16 within 5

@@ -5,7 +5,9 @@ truncation band, the ``Term`` / ``Clause`` / ``Dictator`` views, the flip
 set, the orientation and the four quadrants.  A twin shares no scan with
 the library, so checking it against ``value`` and ``truth_table`` checks
 the fast paths.  Seeded two-level instances derive their rows on first
-use; hand-built ones hold every row pinned; both are covered.
+use; hand-built ones hold every row pinned; both are covered.  The packed
+per-query kernel has its own twin, the plain first-two-rows loop, checked
+at the word boundaries.
 """
 
 from __future__ import annotations
@@ -15,13 +17,19 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetest.core import BitString
+import numpy as np
+
+from cubetest.core import BitString, RngStream
 from cubetest.families import (
     FlippedDnfInstance,
     MonoInstance,
     OneLevelInstance,
     QuadrantInstance,
     UnateInstance,
+    _hits,
+    _pack,
+    _pack_members,
+    _term_masks,
     sample_instance,
 )
 
@@ -160,3 +168,98 @@ _QUADRANTS = st.integers(1, 10).flatmap(
 @given(inst=st.one_of(handbuilt_instance(), _QUADRANTS))
 def test_handbuilt_instances_match_their_twins(inst):
     _check(inst, [])
+
+
+# ---------------------------------------------------------------------------
+# The packed per-query kernel at word boundaries
+# ---------------------------------------------------------------------------
+
+_WIDTHS = [1, 63, 64, 65, 100, 128, 129]
+
+
+def _first_two_rows(rows: list[list[int]], hit) -> list[int]:
+    return [t for t, row in enumerate(rows) if hit(row)][:2]
+
+
+@st.composite
+def _rows_and_point(draw):
+    """Rows of variable indices, some empty, biased to the variables next
+    to a word boundary, and a point of density about one half or three
+    quarters."""
+    n = draw(st.sampled_from(_WIDTHS))
+    edge = sorted({v for v in (0, 62, 63, 64, 65, 127, 128, n - 1) if v < n})
+    var = st.one_of(st.sampled_from(edge), st.integers(0, n - 1))
+    rows = draw(st.lists(st.lists(var, max_size=5), min_size=1, max_size=12))
+    full = (1 << n) - 1
+    bits = draw(st.integers(0, full))
+    if draw(st.booleans()):
+        bits |= draw(st.integers(0, full))
+    return n, rows, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rows_and_point())
+def test_hits_matches_the_plain_loop(case):
+    n, rows, bits = case
+    x = BitString(n, bits)
+    masks = _pack(_term_masks(n, rows))
+    assert masks.shape == (-(-n // 64), len(rows))
+    satisfied = _first_two_rows(rows, lambda row: all(x[v] for v in row))
+    assert _hits(bits, masks) == satisfied
+    falsified = _first_two_rows(rows, lambda row: not any(x[v] for v in row))
+    assert _hits(bits ^ ((1 << n) - 1), masks) == falsified
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_WIDTHS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=3, max_size=3), min_size=1, max_size=8))))
+def test_index_rows_pack_like_boolean_rows(case):
+    # duplicates allowed, as in the sampled term and clause rows
+    n, rows = case
+    got = _pack_members(n, np.asarray(rows, dtype=np.int32))
+    assert np.array_equal(got, _pack(_term_masks(n, rows)))
+
+
+def test_hits_at_the_word_boundary():
+    rows = [[63], [64], [63, 64], [], [0, 128]]
+    masks = _pack(_term_masks(129, rows))
+    assert _hits(1 << 63, masks) == [0, 3]
+    assert _hits(1 << 64, masks) == [1, 3]
+    assert _hits((1 << 63) | (1 << 64), masks) == [0, 1]
+    assert _hits(1 | (1 << 128), masks) == [3, 4]
+    assert _hits(0, _pack(_term_masks(129, [[64], [128]]))) == []
+
+
+# sampled families past one word, on middle-layer queries
+_WIDE = [("mono", 64), ("mono", 100), ("flipdnf", 64), ("flipdnf", 100),
+         ("unate", 64), ("unate", 100)]
+
+
+def _middle_layer_point(inst, rng: RngStream) -> BitString:
+    """A uniform query whose de-oriented weight lies in the band, by rejection."""
+    if isinstance(inst, UnateInstance):
+        centre, coords, orient = inst.n / 4, inst.M, inst.orientation
+    else:
+        centre, coords, orient = inst.n / 2, range(inst.n), BitString.zeros(inst.n)
+    while True:
+        x = BitString.random(inst.n, rng)
+        y = x.xor(orient)
+        if _band(sum(y[k] for k in coords), centre, inst.n) == "middle":
+            return x
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from(_WIDE),
+    world=st.sampled_from(["yes", "no"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_instances_match_their_twins(case, world, seed):
+    family, n = case
+    inst = sample_instance(family, n, world, seed)
+    twin = TWINS[type(inst)]
+    rng = RngStream(seed, "wide-twins")
+    for _ in range(16):
+        x = _middle_layer_point(inst, rng)
+        assert inst.value(x) == twin(inst, x)
