@@ -309,19 +309,31 @@ class RngStream:
     are statistically independent.
     """
 
-    __slots__ = ("master_seed", "domain_tag", "_calls", "_prefix")
+    __slots__ = ("master_seed", "domain_tag", "_calls", "_prefix", "_hasher")
 
     def __init__(self, master_seed: int, domain_tag: str = ""):
         self.master_seed = int(master_seed)
         self.domain_tag = domain_tag
         self._calls = 0
         self._prefix = _path_bytes(self.master_seed, (domain_tag,))
+        self._hasher = None  # BLAKE2b state after the prefix, built on first use
+
+    # a hash object cannot be pickled: the state drops it, the next draw rebuilds it
+    def __getstate__(self) -> tuple[int, str, int]:
+        return self.master_seed, self.domain_tag, self._calls
+
+    def __setstate__(self, state: tuple[int, str, int]) -> None:
+        master_seed, domain_tag, calls = state
+        self.__init__(master_seed, domain_tag)
+        self._calls = calls
 
     def _word(self, call_index: int, attempt: int) -> int:
-        msg = self._prefix + struct.pack("<qq", call_index, attempt)
-        return int.from_bytes(
-            hashlib.blake2b(msg, digest_size=8).digest(), "little"
-        )
+        """BLAKE2b of the prefix and the counter, hashing the prefix once."""
+        if self._hasher is None:
+            self._hasher = hashlib.blake2b(self._prefix, digest_size=8)
+        h = self._hasher.copy()
+        h.update(struct.pack("<qq", call_index, attempt))
+        return int.from_bytes(h.digest(), "little")
 
     def draw(self, upper: int) -> int:
         """Uniform integer in ``1..upper`` (matching the 1-based set [m]),

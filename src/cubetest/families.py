@@ -31,23 +31,26 @@ the first time it is asked for, which is what makes dimensions with
 the order of queries never changes a row.  A hand-built one
 (``from_parts``, the ``explicit`` JSON form) starts with every row pinned.
 
-Per-query scans: a query is answered from its ``BitString.bits`` integer
-against rows packed into ``uint64`` words (see :func:`_hits`), one kernel
-for the terms and clauses of every family.  Term words are packed when an
-instance is built; the packed clause block of a two-level term joins the
-row store the first time a query reaches that term.
+Per-query scans: a query is answered from its ``BitString.bits`` integer,
+one hex digit at a time, against per-digit tables of Python-int bitsets
+over the rows (see :func:`_hits`), one kernel for the terms and clauses of
+every family.  The tables of ``N`` rows at dimension ``n`` are
+``ceil(n/4) * 15`` bitsets of ``N`` bits.  Term tables are built when an
+instance is; the tables of a two-level term's clause block join the row
+store the first time a query reaches that term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, or_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    _MASK64,
     BitString,
     IndexSet,
     ResourceLimitError,
@@ -142,40 +145,67 @@ def _first_two(points: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.nd
     return count, first
 
 
-# Per-query scans see a point as its ``BitString.bits`` integer and hold the
-# rows (terms or clauses) packed column-major: ``masks[k, t]`` is the
-# ``uint64`` word of row ``t`` over variables ``64k .. 64k + 63``, bit
-# ``v % 64`` for variable ``v``.  A row is hit when none of its words has a
-# bit outside the point.
+# Per-query scans see a point as its ``BitString.bits`` integer and the rows
+# (terms or clauses) as Python-int bitsets over the rows, one table per hex
+# digit of the point (coordinates ``4k .. 4k + 3``).  The entry of a digit
+# value is the bitset of rows with a variable among that digit's
+# 0-coordinates, so the rows hit by a point are those in no entry it reads.
+# A table set is ``ceil(n/4)`` digits of 15 nonzero bitsets of ``N`` bits,
+# about four times the ``N * ceil(n/64)`` words of a packed bit matrix.
+
+_HEX = "0123456789abcdef"
 
 
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """Packed ``(ceil(n/64), len(rows))`` words of a boolean ``(rows, n)``
-    matrix."""
+class _Tables(NamedTuple):
+    """Per-hex-digit row tables; ``digits`` runs from the highest digit
+    down, in the order ``format(bits, fmt)`` writes them."""
+
+    full: int  # the bitset of every row
+    fmt: str
+    digits: tuple[dict[str, int], ...]
+
+
+def _pack(rows: np.ndarray) -> _Tables:
+    """Per-hex-digit tables of a boolean ``(rows, n)`` matrix."""
     n = rows.shape[1]
-    packed = np.zeros((len(rows), -(-n // 64) * 8), dtype=np.uint8)  # whole words
-    packed[:, : (n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed.view("<u8").T)
+    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per variable
+    raw, w = packed.tobytes(), packed.shape[1]
+    cols = [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(n)]
+    cols += [0] * (-n % 4)  # coordinates past n are never set in a point
+    digits = []
+    for k in range(0, n, 4):
+        # entry d is the OR of the columns at the 0-bits of d: 11 ORs
+        a, b, c, d = cols[k : k + 4]
+        ab, cd = a | b, c | d
+        digits.append(dict(zip(_HEX, (
+            ab | cd, b | cd, a | cd, cd, ab | d, b | d, a | d, d,
+            ab | c, b | c, a | c, c, ab, b, a, 0,
+        ))))
+    digits.reverse()
+    return _Tables((1 << len(rows)) - 1, f"0{len(digits)}x", tuple(digits))
 
 
-def _pack_members(n: int, members: np.ndarray) -> np.ndarray:
-    """Packed words of rows of variable indices (duplicates allowed)."""
-    rows = np.zeros((len(members), n), dtype=bool)
+def _pack_members(n: int, members: np.ndarray) -> _Tables:
+    """Tables of rows of variable indices (duplicates allowed)."""
+    rows = np.zeros((len(members), n), dtype=bool, order="F")  # rows.T is contiguous
     rows[np.arange(len(members))[:, None], members] = True
     return _pack(rows)
 
 
-def _hits(bits: int, masks: np.ndarray) -> list[int]:
-    """Per-query scan: the first two packed rows of ``masks`` whose
-    variables are all set in the point ``bits``, ascending; the multiplexer
-    tells apart only none, one and several.  Clauses falsified by ``x`` are
-    the rows hit by the complement of ``x``.  An empty row is hit by every
-    point."""
-    out = ~bits  # the words of the coordinates outside the point
-    bad = masks[0] & (out & _MASK64)
-    for k in range(1, len(masks)):
-        bad |= masks[k] & ((out >> (64 * k)) & _MASK64)
-    return (bad == 0).nonzero()[0][:2].tolist()
+def _hits(bits: int, tables: _Tables) -> list[int]:
+    """Per-query scan: the first two rows of ``tables`` whose variables are
+    all set in the point ``bits``, ascending; the multiplexer tells apart
+    only none, one and several.  Clauses falsified by ``x`` are the rows hit
+    by the complement of ``x``.  An empty row is hit by every point."""
+    full, fmt, digits = tables
+    hit = full & ~reduce(or_, map(getitem, digits, format(bits, fmt)))
+    if not hit:
+        return []
+    low = hit & -hit
+    hit ^= low
+    if not hit:
+        return [low.bit_length() - 1]
+    return [low.bit_length() - 1, (hit & -hit).bit_length() - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +304,7 @@ class MonoInstance:
     dictator variables, held in one store keyed by ``(role, i)``.  A
     sampled instance derives a row from ``(seed, role, i)`` the first time
     it is asked for; a hand-built instance starts with every row pinned.
-    A third role holds the packed words of a clause block, built from the
+    A third role holds the scan tables of a clause block, built from the
     block on the first query that needs them.
     """
 
@@ -296,7 +326,7 @@ class MonoInstance:
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
-        self._term_words = _pack_members(n, self._terms)
+        self._term_tables = _pack_members(n, self._terms)
         self._pinned = clauses is not None
         self._rows: dict[tuple[str, int], np.ndarray] = {}
         if self._pinned:
@@ -386,14 +416,14 @@ class MonoInstance:
 
     def satisfied_terms(self, x: BitString) -> list[int]:
         """Indices of the first two satisfied terms, ascending."""
-        return _hits(x.bits, self._term_words)
+        return _hits(x.bits, self._term_tables)
 
     def falsified_clauses(self, i: int, x: BitString) -> list[int]:
         """Indices of the first two clauses of row ``i`` falsified by x."""
-        words = self._rows.get(("clause_words", i))
-        if words is None:
-            words = self._rows["clause_words", i] = _pack_members(self.n, self.clause_block(i))
-        return _hits(x.bits ^ ((1 << self.n) - 1), words)
+        tables = self._rows.get(("clause_tables", i))
+        if tables is None:
+            tables = self._rows["clause_tables", i] = _pack_members(self.n, self.clause_block(i))
+        return _hits(x.bits ^ ((1 << self.n) - 1), tables)
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""
@@ -519,7 +549,7 @@ class FlippedDnfInstance:
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
-        self._term_words = _pack_members(n, self._terms)
+        self._term_tables = _pack_members(n, self._terms)
         self.flip_coords = flip_set
         if world == "yes" and len(flip_set) != 0:
             raise ValueError("yes world must have an empty flip set")
@@ -560,7 +590,7 @@ class FlippedDnfInstance:
         return Term(self.n, tuple(int(v) for v in self._terms[i]))
 
     def dnf_value(self, x: BitString) -> int:
-        return int(bool(_hits(x.bits, self._term_words)))
+        return int(bool(_hits(x.bits, self._term_tables)))
 
     def value(self, x: BitString) -> int:
         if x.n != self.n:
@@ -660,7 +690,7 @@ class UnateInstance:
         self.M = frozenset(int(i) for i in m_sorted)
         self.Mbar_sorted = _complement(n, self.M_sorted).astype(np.int32)
         self._masks = np.ascontiguousarray(term_masks, dtype=bool)  # (N, n)
-        self._term_words = _pack(self._masks)
+        self._term_tables = _pack(self._masks)
         self.N = self._masks.shape[0]
         self._dict_vars = np.ascontiguousarray(dict_vars, dtype=np.int32)
         self._dict_negated = np.ascontiguousarray(dict_negated, dtype=bool)
@@ -771,7 +801,7 @@ class UnateInstance:
 
     def satisfied_terms_base(self, y: BitString) -> list[int]:
         """Indices of the first two terms satisfied by ``y``, ascending."""
-        return _hits(y.bits, self._term_words)
+        return _hits(y.bits, self._term_tables)
 
     def route_base(self, y: BitString) -> Route:
         sat = self.satisfied_terms_base(y)

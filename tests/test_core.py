@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -167,6 +169,17 @@ class TestRngStream:
         assert got == self.DRAW_DIGESTS
         s = RngStream(7, "pin")
         assert [s.draw(2**64) for _ in range(2)] == [531225418509381289, 8209200834534633894]
+
+    def test_drawn_stream_copies_and_pickles_to_its_continuation(self):
+        s = RngStream(7, "pin")
+        head = [s.draw(1000) for _ in range(5)]  # the prefix state now exists
+        clones = [copy.copy(s), pickle.loads(pickle.dumps(s))]
+        tail = [s.draw(1000) for _ in range(20)]
+        for c in clones:
+            assert repr(c) == "RngStream(seed=7, tag='pin', calls=5)"
+            assert [c.draw(1000) for _ in range(20)] == tail
+        fresh = RngStream(7, "pin")
+        assert [fresh.draw(1000) for _ in range(25)] == head + tail
 
     def test_random_points_pinned(self):
         got = {}

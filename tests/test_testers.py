@@ -118,6 +118,31 @@ class TestAttacks:
                 assert inst.value(v.witness.upper) == 0
         assert rejects > 0
 
+    # (world, seed): verdict, queries, stage queries and witness (lower, upper
+    # bits in hex) of the two-level attack at n=100, recorded before the
+    # per-query scan moved from packed words to hex-digit tables
+    _PINNED = {
+        ("yes", 0): ("accept", 135, {"seed": 1, "stage1": 26, "outer": 135}, None),
+        ("yes", 1): ("accept", 1005, {"seed": 1, "stage1": 39, "outer": 1005}, None),
+        ("yes", 2): ("accept", 1500, {"seed": 2, "stage1": 40, "outer": 1500}, None),
+        ("yes", 3): ("accept", 545, {"seed": 1, "stage1": 39, "outer": 545}, None),
+        ("no", 0): ("accept", 2120, {"seed": 1, "stage1": 39, "outer": 2120}, None),
+        ("no", 1): ("accept", 1976, {"seed": 1, "stage1": 39, "outer": 1976}, None),
+        ("no", 2): ("accept", 2137, {"seed": 2, "stage1": 40, "outer": 2137}, None),
+        ("no", 3): ("accept", 440, {"seed": 1, "stage1": 39, "outer": 440}, None),
+        ("no", 48): ("reject", 522, {"seed": 2, "stage1": 40, "stage4": 522},
+                     ("323692473bca616b724ed3252", "723692473bca616b724ed3256")),
+    }
+
+    @pytest.mark.parametrize("world,seed", list(_PINNED))
+    def test_two_level_attack_pinned_at_n100(self, world, seed):
+        inst = MonoInstance.sample(100, world, seed)
+        v = two_level_attack(inst.value, 100, TesterConfig(q=4000, seed=seed))
+        w = v.witness
+        got = (v.decision, v.queries_used, v.stage_queries,
+               None if w is None else (f"{w.lower.bits:x}", f"{w.upper.bits:x}"))
+        assert got == self._PINNED[world, seed]
+
     def test_budget_exhaustion_accepts(self):
         inst = MonoInstance.sample(100, "no", seed=9)
         v = two_level_attack(inst.value, 100, TesterConfig(q=20, seed=2))

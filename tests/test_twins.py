@@ -5,9 +5,9 @@ truncation band, the ``Term`` / ``Clause`` / ``Dictator`` views, the flip
 set, the orientation and the four quadrants.  A twin shares no scan with
 the library, so checking it against ``value`` and ``truth_table`` checks
 the fast paths.  Seeded two-level instances derive their rows on first
-use; hand-built ones hold every row pinned; both are covered.  The packed
+use; hand-built ones hold every row pinned; both are covered.  The
 per-query kernel has its own twin, the plain first-two-rows loop, checked
-at the word boundaries.
+at the hex-digit and 64-bit boundaries.
 """
 
 from __future__ import annotations
@@ -171,10 +171,10 @@ def test_handbuilt_instances_match_their_twins(inst):
 
 
 # ---------------------------------------------------------------------------
-# The packed per-query kernel at word boundaries
+# The per-query kernel at hex-digit and word boundaries
 # ---------------------------------------------------------------------------
 
-_WIDTHS = [1, 63, 64, 65, 100, 128, 129]
+_WIDTHS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 100, 128, 129]
 
 
 def _first_two_rows(rows: list[list[int]], hit) -> list[int]:
@@ -184,10 +184,10 @@ def _first_two_rows(rows: list[list[int]], hit) -> list[int]:
 @st.composite
 def _rows_and_point(draw):
     """Rows of variable indices, some empty, biased to the variables next
-    to a word boundary, and a point of density about one half or three
-    quarters."""
+    to a hex-digit or word boundary, and a point of density about one half
+    or three quarters."""
     n = draw(st.sampled_from(_WIDTHS))
-    edge = sorted({v for v in (0, 62, 63, 64, 65, 127, 128, n - 1) if v < n})
+    edge = sorted({v for v in (0, 3, 4, 15, 16, 62, 63, 64, 65, 127, 128, n - 1) if v < n})
     var = st.one_of(st.sampled_from(edge), st.integers(0, n - 1))
     rows = draw(st.lists(st.lists(var, max_size=5), min_size=1, max_size=12))
     full = (1 << n) - 1
@@ -202,38 +202,41 @@ def _rows_and_point(draw):
 def test_hits_matches_the_plain_loop(case):
     n, rows, bits = case
     x = BitString(n, bits)
-    masks = _pack(_term_masks(n, rows))
-    assert masks.shape == (-(-n // 64), len(rows))
+    tables = _pack(_term_masks(n, rows))
     satisfied = _first_two_rows(rows, lambda row: all(x[v] for v in row))
-    assert _hits(bits, masks) == satisfied
+    assert _hits(bits, tables) == satisfied
     falsified = _first_two_rows(rows, lambda row: not any(x[v] for v in row))
-    assert _hits(bits ^ ((1 << n) - 1), masks) == falsified
+    assert _hits(bits ^ ((1 << n) - 1), tables) == falsified
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(_WIDTHS).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(
-        st.lists(st.integers(0, n - 1), min_size=3, max_size=3), min_size=1, max_size=8))))
+        st.lists(st.integers(0, n - 1), min_size=3, max_size=3), min_size=1, max_size=8),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))))
 def test_index_rows_pack_like_boolean_rows(case):
     # duplicates allowed, as in the sampled term and clause rows
-    n, rows = case
+    n, rows, points = case
     got = _pack_members(n, np.asarray(rows, dtype=np.int32))
-    assert np.array_equal(got, _pack(_term_masks(n, rows)))
+    want = _pack(_term_masks(n, rows))
+    for bits in points:
+        assert _hits(bits, got) == _hits(bits, want)
 
 
 def test_hits_at_the_word_boundary():
     rows = [[63], [64], [63, 64], [], [0, 128]]
-    masks = _pack(_term_masks(129, rows))
-    assert _hits(1 << 63, masks) == [0, 3]
-    assert _hits(1 << 64, masks) == [1, 3]
-    assert _hits((1 << 63) | (1 << 64), masks) == [0, 1]
-    assert _hits(1 | (1 << 128), masks) == [3, 4]
+    tables = _pack(_term_masks(129, rows))
+    assert _hits(1 << 63, tables) == [0, 3]
+    assert _hits(1 << 64, tables) == [1, 3]
+    assert _hits((1 << 63) | (1 << 64), tables) == [0, 1]
+    assert _hits(1 | (1 << 128), tables) == [3, 4]
     assert _hits(0, _pack(_term_masks(129, [[64], [128]]))) == []
 
 
-# sampled families past one word, on middle-layer queries
-_WIDE = [("mono", 64), ("mono", 100), ("flipdnf", 64), ("flipdnf", 100),
-         ("unate", 64), ("unate", 100)]
+# sampled families past one word, on middle-layer queries; 81 and 82 end
+# in a partial hex digit (the unateness family needs an even n)
+_WIDE = [("mono", 64), ("mono", 81), ("mono", 100), ("flipdnf", 64), ("flipdnf", 81),
+         ("flipdnf", 100), ("unate", 64), ("unate", 82), ("unate", 100)]
 
 
 def _middle_layer_point(inst, rng: RngStream) -> BitString:
