@@ -50,7 +50,7 @@ class BitString:
     relies on.
     """
 
-    __slots__ = ("n", "bits", "_arr")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
         if n <= 0:
@@ -59,7 +59,6 @@ class BitString:
             raise ValueError(f"bits 0x{bits:x} do not fit in {n} coordinates")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_arr", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BitString is immutable")
@@ -129,15 +128,11 @@ class BitString:
         return tuple(i for i in range(self.n) if not (self.bits >> i) & 1)
 
     def to_array(self) -> np.ndarray:
-        """Boolean numpy view (cached; do not mutate the result)."""
-        if self._arr is None:
-            raw = self.bits.to_bytes((self.n + 7) // 8, "little")
-            arr = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-            )[: self.n].astype(bool)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_arr", arr)
-        return self._arr
+        """Boolean numpy array of the coordinates, built on each call."""
+        raw = self.bits.to_bytes((self.n + 7) // 8, "little")
+        return np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=self.n, bitorder="little"
+        ).astype(bool)
 
     # -- operations -----------------------------------------------------
 
@@ -351,6 +346,25 @@ class RngStream:
             if w < limit:
                 return w % upper + 1
             attempt += 1
+
+    def points(self, n: int) -> Iterator[int]:
+        """Bits of successive uniform points of ``{0,1}^n``.
+
+        Makes the draws of :meth:`BitString.random`: one word per 64
+        coordinates, lowest first, masked to its width.  A power-of-two
+        range never rejects, so every word is attempt 0 of its call.  The
+        stream advances only as points are taken.
+        """
+        if n <= 0:
+            raise ValueError(f"dimension must be positive, got {n}")
+        spans = [(off, (1 << min(64, n - off)) - 1) for off in range(0, n, 64)]
+        while True:
+            bits = 0
+            for off, mask in spans:
+                idx = self._calls
+                self._calls += 1
+                bits |= (self._word(idx, 0) & mask) << off
+            yield bits
 
     def randint0(self, upper: int) -> int:
         """Uniform integer in ``0..upper-1``."""

@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import and_
 from typing import Optional
 
 import numpy as np
@@ -27,7 +30,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import BitString, ResourceLimitError, RngStream
-from .families import MonoInstance, UnateInstance, _bit_masks, _cube_weights, _first_two
+from .families import (
+    MonoInstance, UnateInstance, _bit_masks, _columns, _cube_weights, _first_two,
+)
 
 __all__ = [
     "FarnessEstimate",
@@ -299,18 +304,59 @@ def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStrea
             return x
 
 
+def _point_rows(points: list[int], n: int) -> np.ndarray:
+    """The 0/1 ``(len(points), n)`` matrix of integer points, one row each."""
+    w = (n + 7) // 8
+    raw = b"".join(p.to_bytes(w, "little") for p in points)
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(points), w),
+        axis=1, count=n, bitorder="little",
+    )
+
+
+def _set_bits(u: int, size: int) -> np.ndarray:
+    """Positions of the set bits of a ``size``-bit integer, ascending."""
+    raw = u.to_bytes((size + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
 def estimate_witness_density(
     inst: MonoInstance, samples: int, rng: RngStream | None = None
 ) -> FarnessEstimate:
-    """Monte-Carlo witness-membership probability over middle-layer points."""
+    """Monte-Carlo witness-membership probability over middle-layer points.
+
+    Counts the ``samples`` points of ``sample_middle_layer`` that have a
+    ``witness_edge_at``, and leaves ``rng`` where that loop leaves it.  The
+    sample is drawn in one block from :meth:`RngStream.points`, and the
+    term level of the multiplexer is bitsliced over it: one bitset over
+    the sample per variable, ANDed per term.  Only the points that satisfy
+    exactly one term reach the scalar clause and cell checks.
+    """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
+    _require_witness_instance(inst)
     rng = rng or RngStream(0, "witness-estimate")
+    n, lo, hi = inst.n, inst.band_low, inst.band_high
+    points = list(islice((b for b in rng.points(n) if lo <= b.bit_count() <= hi), samples))
+    cols = _columns(_point_rows(points, n))
+    terms = inst._terms.tolist()
+
+    def satisfying(term: list[int], among: int) -> int:
+        return reduce(and_, map(cols.__getitem__, term), among)
+
+    one = two = 0  # the points that satisfy at least one, at least two terms
+    for term in terms:
+        sat = satisfying(term, (1 << samples) - 1)
+        two |= one & sat
+        one |= sat
+    once = one & ~two
     hits = 0
-    for _ in range(samples):
-        x = sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng)
-        if witness_edge_at(inst, x) is not None:
-            hits += 1
+    for i, term in enumerate(terms):
+        for p in _set_bits(satisfying(term, once), samples):
+            x = BitString(n, points[p])
+            fals = inst.falsified_clauses(i, x)
+            if len(fals) == 1 and _cell_witness(inst, x, i, fals[0]) is not None:
+                hits += 1
     return FarnessEstimate.from_hits(hits, samples, seed=rng.master_seed)
 
 
@@ -381,9 +427,8 @@ def unate_no_family_stats(
     rng = rng or RngStream(0, "unate-family-stats")
     hits_plus = {k: 0 for k in mbar}
     hits_minus = {k: 0 for k in mbar}
-    for _ in range(samples):
-        y = BitString.random(inst.n, rng)
-        cls = _unate_point_class(inst, y)
+    for bits in islice(rng.points(inst.n), samples):
+        cls = _unate_point_class(inst, BitString(inst.n, bits))
         if cls is None:
             continue
         k, side = cls

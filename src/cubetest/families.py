@@ -165,12 +165,18 @@ class _Tables(NamedTuple):
     digits: tuple[dict[str, int], ...]
 
 
+def _columns(rows: np.ndarray) -> list[int]:
+    """Per column of a 0/1 ``(rows, n)`` matrix, the Python-int bitset of
+    the rows where it is set (row ``r`` at bit ``r``)."""
+    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per column
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(rows.shape[1])]
+
+
 def _pack(rows: np.ndarray) -> _Tables:
     """Per-hex-digit tables of a boolean ``(rows, n)`` matrix."""
     n = rows.shape[1]
-    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per variable
-    raw, w = packed.tobytes(), packed.shape[1]
-    cols = [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(n)]
+    cols = _columns(rows)
     cols += [0] * (-n % 4)  # coordinates past n are never set in a point
     digits = []
     for k in range(0, n, 4):

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -187,6 +188,26 @@ class TestRngStream:
             s = RngStream(7, "pin")
             got[n] = self._digest([BitString.random(n, s).bits for _ in range(20)])
         assert got == self.POINT_DIGESTS
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 63, 64, 65, 100, 128, 129])
+    def test_points_twin_random_points(self, n):
+        fast, slow = RngStream(7, "points"), RngStream(7, "points")
+        got = list(islice(fast.points(n), 25))
+        assert got == [BitString.random(n, slow).bits for _ in range(25)]
+        assert fast._calls == slow._calls == 25 * -(-n // 64)
+        assert fast.draw(1000) == slow.draw(1000)
+
+    def test_points_draw_only_as_taken(self):
+        s, twin = RngStream(7, "points"), RngStream(7, "points")
+        gen = s.points(65)
+        assert s._calls == 0
+        assert next(gen) == BitString.random(65, twin).bits
+        assert s._calls == 2
+        assert s.draw(10) == twin.draw(10)  # a draw in between moves the points on
+        assert next(gen) == BitString.random(65, twin).bits
+        assert s._calls == twin._calls == 5
+        with pytest.raises(ValueError, match="positive"):
+            next(RngStream(7).points(0))
 
     def test_uniformity_chi_square(self):
         # frequency of each value over 1e6 draws with range 16 within 5

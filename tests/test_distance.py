@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubetest.cli import main
 from cubetest.core import BitString, ResourceLimitError, RngStream
 from cubetest.distance import (
     FarnessEstimate,
@@ -17,6 +20,7 @@ from cubetest.distance import (
     exact_dist_unate,
     exhaustive_witness_density,
     middle_layer_indices,
+    sample_middle_layer,
     unate_dist_lower_bound,
     unate_no_family_stats,
     witness_edge_family,
@@ -329,3 +333,72 @@ def test_cube_scans_pinned():
     assert witness == WITNESS_FAMILY_DIGESTS
     assert middle == MIDDLE_LAYER_DIGESTS
     assert stats == UNATE_STATS_DIGESTS
+
+
+def _per_point_hits(inst: MonoInstance, samples: int, rng: RngStream) -> int:
+    """Slow twin of the estimator: one point and one multiplexer walk at a time."""
+    return sum(
+        witness_edge_at(inst, sample_middle_layer(inst.n, inst.band_low, inst.band_high, rng))
+        is not None
+        for _ in range(samples)
+    )
+
+
+# sample counts off a multiple of 8 end in a partial byte of the bitsets
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 1000])
+@pytest.mark.parametrize("n, term_len", [(16, None), (14, 4), (25, None), (100, None)])
+@settings(max_examples=3, deadline=None)
+@given(inst_seed=st.integers(0, 2**32), rng_seed=st.integers(0, 2**63 - 1))
+def test_estimate_matches_the_per_point_loop(n, term_len, samples, inst_seed, rng_seed):
+    inst = MonoInstance.sample(n, "no", inst_seed, term_len=term_len)
+    fast, slow = RngStream(rng_seed, "twin"), RngStream(rng_seed, "twin")
+    est = estimate_witness_density(inst, samples, fast)
+    assert est == FarnessEstimate.from_hits(_per_point_hits(inst, samples, slow), samples, rng_seed)
+    assert fast._calls == slow._calls
+    assert fast.draw(2**64) == slow.draw(2**64)
+
+
+# recorded with the per-point estimator: estimate_witness_density of
+# MonoInstance.sample(16, "no", s) with 4000 samples from RngStream(s, "witness-pin"),
+# as (estimate, calls the stream made)
+ESTIMATE_PINS = {
+    0: (0.015, 4081),
+    1: (0.0165, 4101),
+    2: (0.01625, 4087),
+    3: (0.01575, 4071),
+    4: (0.0085, 4086),
+}
+# the sampled unate_no_family_stats of UnateInstance.sample(n, "no", s) with 3000
+# samples from RngStream(s, "ustats-pin"), as (repr digest, calls the stream made)
+UNATE_SAMPLED_PINS = {
+    (16, 0): ("cdf2cbae4388d4de7d6debdb8670ba83", 3000),
+    (16, 1): ("ccad416d9964ae41c19a2b81753872a6", 3000),
+    (100, 0): ("1ef8c1e7e0eca70f28c6a04fe2fb9c84", 6000),
+    (100, 1): ("3897c08dabce923d52a2ca60ff976fd2", 6000),
+}
+WITNESS_ESTIMATE_STDOUT = (
+    '{\n  "ci_halfwidth": 0.004581104508578527,\n  "estimate": 0.016666666666666666,\n'
+    '  "mode": "witness-estimate",\n  "samples": 3000\n}\n'
+)
+
+
+def test_sampled_estimates_pinned(tmp_path, capsys):
+    got = {}
+    for s in ESTIMATE_PINS:
+        rng = RngStream(s, "witness-pin")
+        est = estimate_witness_density(MonoInstance.sample(16, "no", s), 4000, rng)
+        got[s] = (est.estimate, rng._calls)
+    assert got == ESTIMATE_PINS
+    got = {}
+    for n, s in UNATE_SAMPLED_PINS:
+        rng = RngStream(s, "ustats-pin")
+        stats = unate_no_family_stats(UnateInstance.sample(n, "no", s), samples=3000, rng=rng)
+        got[n, s] = (_digest(repr(stats).encode()), rng._calls)
+    assert got == UNATE_SAMPLED_PINS
+    inst = tmp_path / "inst.json"
+    main(["sample", "--family", "mono", "--n", "16", "--world", "no", "--seed", "11",
+          "--out", str(inst)])
+    capsys.readouterr()
+    assert main(["distance", "--instance", str(inst), "--mode", "witness-estimate",
+                 "--samples", "3000", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == WITNESS_ESTIMATE_STDOUT
