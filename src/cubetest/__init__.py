@@ -8,7 +8,7 @@ The package is organized as:
   standard value oracles.
 * :mod:`cubetest.sigoracle` -- the stronger signature oracles.
 * :mod:`cubetest.transcripts` -- transcript bookkeeping (induced tuples),
-  bad-edge classifiers, balance and breach checks.
+  bad-edge classifiers and breach checks.
 * :mod:`cubetest.likelihood` -- exact transcript likelihood formulas with
   brute-force counterparts.
 * :mod:`cubetest.testers` -- the edge tester, the staged violation-finding

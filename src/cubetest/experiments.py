@@ -105,8 +105,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config; a malformed grid or a missing or unknown
-        experiment, family or tester raises ``ValueError`` naming the field."""
+        """Parse a config; a malformed grid or count, a non-numeric
+        ``alpha``, or a missing or unknown experiment, family or tester
+        raises ``ValueError`` naming the field."""
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -124,6 +125,9 @@ class ExperimentConfig:
             ("seeds", _is_int_list(seeds), "a list of ints or a {start, count} dict"),
             ("worlds", isinstance(worlds, list) and all(w in ("yes", "no") for w in worlds),
              'a list drawn from "yes"/"no"'),
+            *((key, type(obj.get(key, 0)) is int, "an int")
+              for key in ("samples", "budget", "queries_per_transcript")),
+            ("alpha", type(obj.get("alpha", 4.0)) in (int, float), "an int or a float"),
         ):
             if not ok:
                 raise ValueError(

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import BitString, ResourceLimitError, RngStream
+from .core import BitString, RngStream
 from .distance import sample_middle_layer
 
 __all__ = [
@@ -27,13 +26,10 @@ __all__ = [
     "CountingOracle",
     "TesterConfig",
     "MonoPairWitness",
-    "DirectionalUnateWitness",
-    "OrientationMapWitness",
     "Verdict",
     "edge_tester",
     "flipped_dnf_attack",
     "two_level_attack",
-    "has_unate_violation",
     "check_orientation",
     "find_good_orientation",
     "OrientationNotFoundError",
@@ -103,50 +99,6 @@ class MonoPairWitness:
             "lower": self.lower.to_json(),
             "upper": self.upper.to_json(),
         }
-
-
-@dataclass(frozen=True)
-class DirectionalUnateWitness:
-    """Both edge polarities observed in one direction.
-
-    ``increasing`` is a monotone bi-chromatic edge (lower endpoint value
-    0), ``decreasing`` an anti-monotone one; having both in the same
-    direction rules out every orientation at once.
-    """
-
-    direction: int
-    increasing: tuple[BitString, BitString]
-    decreasing: tuple[BitString, BitString]
-
-    def verify(self, labels: dict[BitString, int]) -> bool:
-        (a, b), (c, d) = self.increasing, self.decreasing
-        return (
-            a.flip_one(self.direction) == b
-            and c.flip_one(self.direction) == d
-            and a[self.direction] == 0
-            and c[self.direction] == 0
-            and labels[a] == 0
-            and labels[b] == 1
-            and labels[c] == 1
-            and labels[d] == 0
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "unate_per_direction",
-            "direction": self.direction + 1,
-            "increasing": [p.to_json() for p in self.increasing],
-            "decreasing": [p.to_json() for p in self.decreasing],
-        }
-
-
-@dataclass(frozen=True)
-class OrientationMapWitness:
-    """Exhaustive certificate: a violating pair for every orientation of
-    the relevant coordinates (coordinates where the query set varies)."""
-
-    coords: tuple[int, ...]
-    pairs: dict[int, tuple[BitString, BitString]]
 
 
 @dataclass
@@ -391,89 +343,6 @@ def two_level_attack(
     except BudgetExhaustedError:
         pass
     return _accept(oracle, stages, cfg.seed)
-
-
-# ---------------------------------------------------------------------------
-# Unateness violations over labeled query sets
-# ---------------------------------------------------------------------------
-
-
-def has_unate_violation(
-    labeled: Sequence[tuple[BitString, int]],
-    mode: str = "directional_edges",
-    cap: int = 20,
-):
-    """Violation-to-unateness detection over a labeled query set.
-
-    ``exact_orientations`` decides the definition itself: a violating
-    pair must exist for *every* orientation; only coordinates on which
-    the query set is non-constant matter, and those are enumerated (up to
-    ``cap`` of them).  ``directional_edges`` is the sound sufficient
-    check: some direction exhibits both a monotone and an anti-monotone
-    bi-chromatic edge.  Returns a witness object or None.
-    """
-    points = [x for x, _ in labeled]
-    values = {x: int(v) for x, v in labeled}
-    if not points:
-        return None
-    n = points[0].n
-
-    if mode == "directional_edges":
-        inc: dict[int, tuple[BitString, BitString]] = {}
-        dec: dict[int, tuple[BitString, BitString]] = {}
-        for a in points:
-            for b in points:
-                d = a.bits ^ b.bits
-                if d == 0 or d & (d - 1):
-                    continue
-                i = d.bit_length() - 1
-                if a[i] != 0:
-                    continue
-                if values[a] == 0 and values[b] == 1:
-                    inc.setdefault(i, (a, b))
-                elif values[a] == 1 and values[b] == 0:
-                    dec.setdefault(i, (a, b))
-                if i in inc and i in dec:
-                    return DirectionalUnateWitness(i, inc[i], dec[i])
-        return None
-
-    if mode != "exact_orientations":
-        raise ValueError(f"unknown mode {mode!r}")
-    varying = [
-        k
-        for k in range(n)
-        if len({p[k] for p in points}) > 1
-    ]
-    if len(varying) > cap:
-        raise ResourceLimitError(
-            f"{len(varying)} varying coordinates exceed the exact cap {cap}"
-        )
-    ones = [p for p in points if values[p] == 1]
-    zeros = [p for p in points if values[p] == 0]
-    # pair (x, y) is ordered under r iff r agrees with x on their
-    # difference mask: (r ^ x) & diff == 0
-    cands = [
-        (x, y, x.bits ^ y.bits)
-        for x in ones
-        for y in zeros
-        if x.bits != y.bits
-    ]
-    if not cands:
-        return None
-    pairs: dict[int, tuple[BitString, BitString]] = {}
-    for assignment in product((0, 1), repeat=len(varying)):
-        r = 0
-        for k, bit in zip(varying, assignment):
-            r |= bit << k
-        hit = None
-        for x, y, diff in cands:
-            if (r ^ x.bits) & diff == 0:
-                hit = (x, y)
-                break
-        if hit is None:
-            return None
-        pairs[r] = hit
-    return OrientationMapWitness(tuple(varying), pairs)
 
 
 def check_orientation(points: Iterable[BitString], r: BitString, n: int) -> bool:

@@ -19,9 +19,8 @@ the terms of both kinds and the cells of the two-level kind), and
 ``induced_*_tuple`` recomputes the same data from scratch straight off the
 definitions, as an independent cross-check.
 
-The module also houses the bad-edge classifiers, the balance check for
-unateness trees, breach bookkeeping with special-variable revelation, and
-the good/bad outcome test for non-adaptive single-level transcripts.
+The module also houses the bad-edge classifiers and breach bookkeeping
+with special-variable revelation.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .core import BitString, ResourceLimitError
+from .core import BitString
 from .families import UnateInstance
 from .sigoracle import (
     FullSignature,
@@ -52,8 +50,6 @@ __all__ = [
     "consistency_status",
     "classify_mono_edge",
     "classify_unate_edge",
-    "classify_nonadaptive_outcome",
-    "check_balanced_step",
     "breached_terms",
 ]
 
@@ -62,12 +58,10 @@ __all__ = [
 # Thresholds
 # ---------------------------------------------------------------------------
 
-BALANCE_SUBSET_CAP = 12  # largest past-query subset the all_subsets check tries
-
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Thresholds used by the bad-edge classifiers and balance checks.
+    """Thresholds used by the bad-edge classifiers.
 
     Every threshold left ``None`` is filled from its standard formula in
     the dimension ``n`` (with base-2 logarithms); setting one individually
@@ -79,10 +73,7 @@ class ClassifierConfig:
     alpha: float = 4.0
     mono_drop: Optional[float] = None  # alpha * sqrt(n) * log n
     unate_drop: Optional[float] = None  # n^(2/3) * log n
-    balance_delta: Optional[float] = None  # n^(2/3) * log n
-    balance_min_ones: Optional[float] = None  # n^(2/3) * log n / 8
     breach_cap: Optional[float] = None  # n^(1/3) / log n
-    shared_ones: Optional[float] = None  # n/2 - alpha * sqrt(n) * log n
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -95,10 +86,7 @@ class ClassifierConfig:
         standard = {
             "mono_drop": alpha * math.sqrt(n) * log_n,
             "unate_drop": n ** (2.0 / 3.0) * log_n,
-            "balance_delta": n ** (2.0 / 3.0) * log_n,
-            "balance_min_ones": n ** (2.0 / 3.0) * log_n / 8.0,
             "breach_cap": n ** (1.0 / 3.0) / log_n,
-            "shared_ones": n / 2.0 - alpha * math.sqrt(n) * log_n,
         }
         for name, value in standard.items():
             if getattr(self, name) is None:
@@ -623,98 +611,3 @@ def classify_unate_edge(
             return EdgeClass("E3", seen[k], i)
         seen[k] = i
     return EdgeClass()
-
-
-def check_balanced_step(
-    t: SingleLevelTranscript,
-    x: BitString,
-    m_members: Iterable[int] | None = None,
-    mode: str = "per_P_i",
-    cfg: ClassifierConfig | None = None,
-) -> bool:
-    """Balance condition for the next query of a unateness tree.
-
-    ``per_P_i`` checks the signature-tree form: for every tracked term,
-    if the query disagrees with the members of ``P_i`` on at least the
-    delta threshold of their agreement coordinates, then enough of those
-    disagreements must be 1-to-0 flips inside ``M``.  ``all_subsets``
-    checks the decision-tree form, quantified over subsets of past queries
-    up to ``BALANCE_SUBSET_CAP`` queries.  Queries are taken in the normalized
-    convention (orientation zero on ``M``).
-    """
-    cfg = cfg or ClassifierConfig(t.n)
-    if m_members is None:
-        if isinstance(t, UnateTranscript):
-            members = t.M
-        else:
-            members = frozenset(range(t.n // 2))
-    else:
-        members = frozenset(int(i) for i in m_members)
-    ones = set(x.one_indices())
-
-    if mode == "per_P_i":
-        for i in t.I:
-            a1, a0 = t.A1[i], t.A0[i]
-            delta = (a1 - ones) | (a0 & ones)
-            if len(delta) < cfg.balance_delta:
-                continue
-            delta1 = delta & members & a1
-            if len(delta1) < cfg.balance_min_ones:
-                return False
-        return True
-
-    if mode != "all_subsets":
-        raise ValueError(f"unknown balance mode {mode!r}")
-    past = [q for q, _ in t.queries]
-    if len(past) > 20:
-        raise ResourceLimitError(
-            "subset balance enumeration capped at 20 past queries"
-        )
-    coords = range(t.n)
-    for size in range(0, min(len(past), BALANCE_SUBSET_CAP) + 1):
-        for subset in combinations(range(len(past)), size):
-            pts = [past[q] for q in subset]
-            agree = {
-                k
-                for k in coords
-                if len({p[k] for p in pts}) <= 1
-            }
-            agree_with_x = {k for k in agree if all(p[k] == x[k] for p in pts)}
-            delta = agree - agree_with_x
-            if len(delta) < cfg.balance_delta:
-                continue
-            delta1 = {
-                k
-                for k in delta & members
-                if x[k] == 0 and all(p[k] == 1 for p in pts)
-            }
-            if len(delta1) < cfg.balance_min_ones:
-                return False
-    return True
-
-
-class OutcomeReport(NamedTuple):
-    label: str  # "good" | "bad"
-    reason: Optional[str]  # "inconsistent" | "low_shared_ones"
-    i: Optional[int]
-
-
-def classify_nonadaptive_outcome(
-    t: SingleLevelTranscript, cfg: ClassifierConfig
-) -> OutcomeReport:
-    """Good/bad split for a non-adaptive single-level transcript.
-
-    Bad iff some tracked term has inconsistent observed values, or two of
-    its satisfying queries share too few 1-coordinates (at most
-    ``n/2 - alpha sqrt(n) log n``).
-    """
-    for i in sorted(t.I):
-        if _status(t.rho[i].values()) == "inconsistent":
-            return OutcomeReport("bad", "inconsistent", i)
-    floor = cfg.shared_ones
-    for i in sorted(t.I):
-        pts = [t.queries[q][0] for q in t.P[i]]
-        for a, b in combinations(pts, 2):
-            if (a.bits & b.bits).bit_count() <= floor:
-                return OutcomeReport("bad", "low_shared_ones", i)
-    return OutcomeReport("good", None, None)

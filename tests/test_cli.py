@@ -269,6 +269,10 @@ class TestExperimentRoundtrip:
             ("worlds", "yes"),
             ("worlds", ["maybe"]),
             ("experiment", None),  # None: the field is left out
+            ("samples", "many"),
+            ("budget", True),
+            ("queries_per_transcript", 1.5),
+            ("alpha", "x"),
         ],
     )
     def test_malformed_grid_exits_2(self, tmp_path, capsys, field, value):

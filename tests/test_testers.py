@@ -4,19 +4,16 @@ import math
 
 import pytest
 
-from cubetest.core import BitString, ResourceLimitError, RngStream
+from cubetest.core import BitString, RngStream
 from cubetest.families import FlippedDnfInstance, QuadrantInstance, MonoInstance
 from cubetest.testers import (
     CountingOracle,
-    DirectionalUnateWitness,
-    OrientationMapWitness,
     OrientationNotFoundError,
     TesterConfig,
     flipped_dnf_attack,
     check_orientation,
     edge_tester,
     find_good_orientation,
-    has_unate_violation,
     two_level_attack,
 )
 
@@ -148,59 +145,6 @@ class TestAttacks:
         v = two_level_attack(inst.value, 100, TesterConfig(q=20, seed=2))
         assert v.decision == "accept"
         assert v.queries_used <= 20
-
-
-class TestUnateViolationDetection:
-    def test_constant_labels_have_no_violation(self):
-        pts = [(BitString(4, v), 1) for v in range(8)]
-        assert has_unate_violation(pts, mode="directional_edges") is None
-        assert has_unate_violation(pts, mode="exact_orientations") is None
-
-    def test_fi_quadrants_yield_directional_witness(self):
-        inst = QuadrantInstance(4, 0)
-        # the four points 00/01/10/11 on (a, x_i) with b toggling quadrants
-        pts = []
-        for a in (0, 1):
-            for b in (0, 1):
-                for xi in (0, 1):
-                    ones = [k for k, v in (((0, a)), ((1, b)), ((2, xi))) if v]
-                    z = BitString.from_indices(6, ones)
-                    pts.append((z, inst.value(z)))
-        w = has_unate_violation(pts, mode="directional_edges")
-        assert isinstance(w, DirectionalUnateWitness)
-        assert w.direction == 2  # the x_i coordinate
-        assert w.verify({p: v for p, v in pts})
-
-    def test_directional_implies_exact(self):
-        # dense point sets inside a 4-coordinate subcube so that edges (and
-        # hence directional witnesses) actually occur
-        found = 0
-        for seed in range(300):
-            g = RngStream(seed, "viol")
-            cube = [BitString(6, v) for v in range(16)]
-            pts = [
-                (z, g.randint0(2))
-                for z in g.sample_without_replacement(range(16), 10)
-                for z in [cube[z]]
-            ]
-            d = has_unate_violation(pts, mode="directional_edges")
-            if d is not None:
-                found += 1
-                e = has_unate_violation(pts, mode="exact_orientations")
-                assert isinstance(e, OrientationMapWitness)
-                # spot-check a few certificate entries
-                labels = dict(pts)
-                for r_bits, (x, y) in list(e.pairs.items())[:8]:
-                    r = BitString(6, r_bits)
-                    assert x.xor(r).precedes(y.xor(r))
-                    assert labels[x] == 1 and labels[y] == 0
-        assert found > 50
-
-    def test_exact_cap(self):
-        pts = [(BitString.random(30, RngStream(i, "cap")), 0) for i in range(4)]
-        pts[0] = (pts[0][0], 1)
-        with pytest.raises(ResourceLimitError):
-            has_unate_violation(pts, mode="exact_orientations", cap=5)
 
 
 class TestOrientation:

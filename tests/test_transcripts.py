@@ -23,9 +23,7 @@ from cubetest.transcripts import (
     UnateSignatureOracle,
     UnateTranscript,
     breached_terms,
-    check_balanced_step,
     classify_mono_edge,
-    classify_nonadaptive_outcome,
     classify_unate_edge,
     consistency_status,
     induced_mono_tuple,
@@ -404,103 +402,6 @@ class TestUnateClassifier:
         x = point(16, [0, 12, 13, 14, 15])
         edge = oracle.classify_next(x, cfg)
         assert edge.kind == "E1"
-
-
-class TestBalance:
-    def test_single_prior_query_vacuous(self):
-        t = UnateTranscript(16, range(8))
-        t.extend(point(16, [0, 8]), UnateSignature(TermPattern("unique", 0), a=1), reveal={})
-        assert check_balanced_step(t, point(16, [1, 9]))
-
-    def test_repeat_query_vacuous(self):
-        t = UnateTranscript(16, range(8))
-        x = point(16, [0, 8])
-        t.extend(x, UnateSignature(TermPattern("unique", 0), a=1), reveal={})
-        assert check_balanced_step(t, x)
-
-    def test_adversarial_flip_fails(self):
-        # disagreements all outside M (or 0->1 inside M): delta large but
-        # delta_1 empty
-        cfg = ClassifierConfig(16, balance_delta=6, balance_min_ones=2)
-        t = UnateTranscript(16, range(8))
-        t.extend(
-            point(16, [0, 1, 8, 9, 10, 11, 12, 13]),
-            UnateSignature(TermPattern("unique", 0), a=1),
-            reveal={},
-        )
-        x = point(16, [0, 1, 2, 3])  # flips complement ones down, M zeros up
-        assert not check_balanced_step(t, x, cfg=cfg)
-
-    def test_subset_form_is_stronger(self, rng):
-        # the per-term check inspects the agreement set of each P_i, which
-        # the subset form also covers (as Q = P_i): failing per-term must
-        # fail the subset form; the converse need not hold
-        cfg = ClassifierConfig(16, balance_delta=5, balance_min_ones=2)
-        seen_fail = 0
-        for seed in range(20):
-            inst = UnateInstance.sample(16, "no", seed=seed)
-            oracle = UnateSignatureOracle(inst)
-            g = RngStream(seed, "balance")
-            added = 0
-            while added < 5:
-                x = BitString.random(16, g)
-                try:
-                    oracle.query(x)
-                    added += 1
-                except OutOfBandError:
-                    continue
-            for _ in range(10):
-                probe = BitString.random(16, g)
-                per_pi = check_balanced_step(oracle.transcript, probe, cfg=cfg)
-                if not per_pi:
-                    seen_fail += 1
-                    assert not check_balanced_step(
-                        oracle.transcript, probe, mode="all_subsets", cfg=cfg
-                    )
-        assert seen_fail > 0  # the loosened thresholds make failures reachable
-
-
-class TestNonadaptiveOutcome:
-    def test_singletons_good(self):
-        t = SingleLevelTranscript(16)
-        t.extend(point(16, [0, 1, 2, 3, 4, 5, 6, 7]), UnateSignature(TermPattern("unique", 0), a=1))
-        t.extend(point(16, [1, 2, 3, 4, 5, 6, 7, 8]), UnateSignature(TermPattern("unique", 1), a=0))
-        cfg = ClassifierConfig(16, alpha=4.0)
-        assert classify_nonadaptive_outcome(t, cfg).label == "good"
-
-    def test_inconsistent_is_bad(self):
-        t = SingleLevelTranscript(16)
-        t.extend(point(16, [0, 1, 2, 3, 4, 5, 6, 7]), UnateSignature(TermPattern("unique", 0), a=1))
-        t.extend(point(16, [0, 1, 2, 3, 4, 5, 6, 9]), UnateSignature(TermPattern("unique", 0), a=0))
-        cfg = ClassifierConfig(16, alpha=4.0)
-        out = classify_nonadaptive_outcome(t, cfg)
-        assert out.label == "bad" and out.reason == "inconsistent"
-
-    def test_low_shared_ones_is_bad(self):
-        # shared-ones floor at alpha=1: 8 - 4*4 < 0 is vacuous, so pin the
-        # floor explicitly
-        cfg = ClassifierConfig(16, shared_ones=2)
-        t = SingleLevelTranscript(16)
-        t.extend(point(16, [0, 1, 2, 3, 4, 5, 6, 7]), UnateSignature(TermPattern("unique", 0), a=1))
-        t.extend(point(16, [0, 8, 9, 10, 11, 12, 13, 14]), UnateSignature(TermPattern("unique", 0), a=1))
-        out = classify_nonadaptive_outcome(t, cfg)
-        assert out.label == "bad" and out.reason == "low_shared_ones"
-        assert out.i == 0
-
-    def test_matches_consistency_helper(self, rng):
-        cfg = ClassifierConfig(16, alpha=4.0)
-        for seed in range(15):
-            inst = OneLevelInstance.sample(16, "no", seed=seed)
-            t = SingleLevelTranscript(16)
-            for _ in range(15):
-                x = random_middle(inst, rng)
-                t.extend(x, unate_signature(inst, x))
-            out = classify_nonadaptive_outcome(t, cfg)
-            any_incons = any(
-                consistency_status(t, i) == "inconsistent" for i in t.I
-            )
-            if any_incons:
-                assert out.label == "bad"
 
 
 class TestTranscriptDump:
