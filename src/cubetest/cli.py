@@ -173,11 +173,12 @@ def _cmd_distance(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser) -> int:
-    cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
+    obj = json.loads(Path(args.config).read_text())
     for field in ("samples", "budget", "alpha"):
         value = getattr(args, field)
         if value is not None:
-            setattr(cfg, field, value)
+            obj[field] = value  # checked with the config's own fields
+    cfg = ExperimentConfig.from_json(obj)
     rows = run_experiment(cfg, args.threads)
     if args.out:
         target = write_results(cfg, rows, args.out)

@@ -366,6 +366,39 @@ class RngStream:
                 bits |= (self._word(idx, 0) & mask) << off
             yield bits
 
+    def band_points(self, n: int, lo: float, hi: float, count: int) -> np.ndarray:
+        """The first ``count`` points of :meth:`points` with weight in ``[lo, hi]``.
+
+        Returns a ``(count, ceil(n/64))`` ``uint64`` array, one row per
+        point, lowest word first.  Words are hashed in blocks of as many
+        points as are still needed, so the last block is taken whole and
+        the stream is left just after the last point taken.
+        """
+        if n <= 0:
+            raise ValueError(f"dimension must be positive, got {n}")
+        if not any(lo <= w <= hi for w in range(n + 1)):
+            raise ValueError(f"no weight of 0..{n} lies in the band [{lo}, {hi}]")
+        words = -(-n // 64)
+        masks = np.array([(1 << min(64, n - off)) - 1 for off in range(0, n, 64)], np.uint64)
+        if self._hasher is None:
+            self._hasher = hashlib.blake2b(self._prefix, digest_size=8)
+        copy, pack = self._hasher.copy, struct.Struct("<qq").pack
+        blocks = [np.empty((0, words), np.uint64)]
+        need = count
+        while need > 0:
+            start = self._calls
+            self._calls += need * words
+            digests = []
+            for idx in range(start, self._calls):
+                h = copy()
+                h.update(pack(idx, 0))
+                digests.append(h.digest())
+            block = np.frombuffer(b"".join(digests), "<u8").reshape(need, words) & masks
+            weight = np.bitwise_count(block).sum(axis=1)
+            blocks.append(block[(weight >= lo) & (weight <= hi)])
+            need -= len(blocks[-1])
+        return np.concatenate(blocks)
+
     def randint0(self, upper: int) -> int:
         """Uniform integer in ``0..upper-1``."""
         return self.draw(upper) - 1

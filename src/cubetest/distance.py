@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from operator import and_
 from typing import Optional
 
@@ -31,7 +30,8 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import BitString, ResourceLimitError, RngStream
 from .families import (
-    MonoInstance, UnateInstance, _bit_masks, _columns, _cube_weights, _first_two,
+    MonoInstance, UnateInstance, _band_class, _bit_masks, _columns, _cube_weights, _first_two,
+    _hits,
 )
 
 __all__ = [
@@ -304,14 +304,18 @@ def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStrea
             return x
 
 
-def _point_rows(points: list[int], n: int) -> np.ndarray:
-    """The 0/1 ``(len(points), n)`` matrix of integer points, one row each."""
-    w = (n + 7) // 8
-    raw = b"".join(p.to_bytes(w, "little") for p in points)
-    return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(points), w),
-        axis=1, count=n, bitorder="little",
-    )
+def _point_rows(points: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 ``(count, n)`` matrix of a :meth:`RngStream.band_points` block."""
+    raw = points.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def _point_ints(points: np.ndarray) -> list[int]:
+    """The ``BitString.bits`` integer of each row of a ``band_points`` block."""
+    ints = points[:, 0].tolist()
+    for w in range(1, points.shape[1]):
+        ints = [b | word << 64 * w for b, word in zip(ints, points[:, w].tolist())]
+    return ints
 
 
 def _set_bits(u: int, size: int) -> np.ndarray:
@@ -327,18 +331,20 @@ def estimate_witness_density(
 
     Counts the ``samples`` points of ``sample_middle_layer`` that have a
     ``witness_edge_at``, and leaves ``rng`` where that loop leaves it.  The
-    sample is drawn in one block from :meth:`RngStream.points`, and the
+    sample is drawn in one block by :meth:`RngStream.band_points`, and the
     term level of the multiplexer is bitsliced over it: one bitset over
-    the sample per variable, ANDed per term.  Only the points that satisfy
-    exactly one term reach the scalar clause and cell checks.
+    the sample per variable, ANDed per term.  The points that satisfy
+    exactly one term go through the clause and cell checks of
+    ``witness_edge_at`` on their integer bits, each check made only when
+    the ones before it pass.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     _require_witness_instance(inst)
     rng = rng or RngStream(0, "witness-estimate")
     n, lo, hi = inst.n, inst.band_low, inst.band_high
-    points = list(islice((b for b in rng.points(n) if lo <= b.bit_count() <= hi), samples))
-    cols = _columns(_point_rows(points, n))
+    block = rng.band_points(n, lo, hi, samples)
+    cols = _columns(_point_rows(block, n))
     terms = inst._terms.tolist()
 
     def satisfying(term: list[int], among: int) -> int:
@@ -350,12 +356,27 @@ def estimate_witness_density(
         two |= one & sat
         one |= sat
     once = one & ~two
+    points = _point_ints(block)
+    full = (1 << n) - 1
     hits = 0
     for i, term in enumerate(terms):
-        for p in _set_bits(satisfying(term, once), samples):
-            x = BitString(n, points[p])
-            fals = inst.falsified_clauses(i, x)
-            if len(fals) == 1 and _cell_witness(inst, x, i, fals[0]) is not None:
+        mine = satisfying(term, once)
+        if not mine:
+            continue
+        clause_tables = inst._clause_tables(i)
+        for p in _set_bits(mine, samples):
+            b = points[p]
+            fals = _hits(b ^ full, clause_tables)
+            if len(fals) != 1:
+                continue
+            j = fals[0]
+            k = inst.dict_row(i).item(j)
+            # a list of m ints: numpy's `in` costs several times more
+            if (b >> k) & 1 or k in inst.clause_block(i)[j].tolist():
+                continue
+            up = b | 1 << k
+            if (_band_class(up.bit_count(), lo, hi) == "middle"
+                    and _hits(up, inst._term_tables) == [i]):
                 hits += 1
     return FarnessEstimate.from_hits(hits, samples, seed=rng.master_seed)
 
@@ -427,7 +448,7 @@ def unate_no_family_stats(
     rng = rng or RngStream(0, "unate-family-stats")
     hits_plus = {k: 0 for k in mbar}
     hits_minus = {k: 0 for k in mbar}
-    for bits in islice(rng.points(inst.n), samples):
+    for bits in _point_ints(rng.band_points(inst.n, 0, inst.n, samples)):
         cls = _unate_point_class(inst, BitString(inst.n, bits))
         if cls is None:
             continue

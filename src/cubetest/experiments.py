@@ -88,6 +88,10 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
+def _is_count(value, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -105,9 +109,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config; a malformed grid or count, a non-numeric
-        ``alpha``, or a missing or unknown experiment, family or tester
-        raises ``ValueError`` naming the field."""
+        """Parse a config; a malformed grid, a count or ``alpha`` that is
+        not a number in range, or a missing or unknown experiment, family or
+        tester raises ``ValueError`` naming the field."""
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -116,6 +120,10 @@ class ExperimentConfig:
                 and _is_int_list(list(seeds.values()))):
             seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
         worlds = obj.get("worlds", [])
+        # a farness estimate needs a sample; elsewhere 0 samples means none
+        least = {"samples": int(obj.get("experiment") == "farness-estimate"),
+                 "budget": 1, "queries_per_transcript": 1}
+        alpha = obj.get("alpha", 4.0)
         for name, ok, expected in (
             ("experiment", obj.get("experiment") in tuple(EXPERIMENTS),
              f"one of {sorted(EXPERIMENTS)}"),
@@ -125,9 +133,9 @@ class ExperimentConfig:
             ("seeds", _is_int_list(seeds), "a list of ints or a {start, count} dict"),
             ("worlds", isinstance(worlds, list) and all(w in ("yes", "no") for w in worlds),
              'a list drawn from "yes"/"no"'),
-            *((key, type(obj.get(key, 0)) is int, "an int")
-              for key in ("samples", "budget", "queries_per_transcript")),
-            ("alpha", type(obj.get("alpha", 4.0)) in (int, float), "an int or a float"),
+            *((key, _is_count(obj.get(key, low), low), f"an int >= {low}")
+              for key, low in least.items()),
+            ("alpha", type(alpha) in (int, float) and alpha >= 1, "an int or a float >= 1"),
         ):
             if not ok:
                 raise ValueError(

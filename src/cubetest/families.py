@@ -424,12 +424,16 @@ class MonoInstance:
         """Indices of the first two satisfied terms, ascending."""
         return _hits(x.bits, self._term_tables)
 
-    def falsified_clauses(self, i: int, x: BitString) -> list[int]:
-        """Indices of the first two clauses of row ``i`` falsified by x."""
+    def _clause_tables(self, i: int) -> _Tables:
+        """Scan tables of the clause block of term ``i``, built on first use."""
         tables = self._rows.get(("clause_tables", i))
         if tables is None:
             tables = self._rows["clause_tables", i] = _pack_members(self.n, self.clause_block(i))
-        return _hits(x.bits ^ ((1 << self.n) - 1), tables)
+        return tables
+
+    def falsified_clauses(self, i: int, x: BitString) -> list[int]:
+        """Indices of the first two clauses of row ``i`` falsified by x."""
+        return _hits(x.bits ^ ((1 << self.n) - 1), self._clause_tables(i))
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""

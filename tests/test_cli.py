@@ -273,10 +273,16 @@ class TestExperimentRoundtrip:
             ("budget", True),
             ("queries_per_transcript", 1.5),
             ("alpha", "x"),
+            ("alpha", 0.5),
+            ("budget", 0),
+            ("queries_per_transcript", 0),
+            ("samples", -1),
+            ("samples", 0),  # on farness-estimate, the one experiment that needs a sample
         ],
     )
     def test_malformed_grid_exits_2(self, tmp_path, capsys, field, value):
-        cfg = {"experiment": "monotone-check", "n": [4], field: value}
+        experiment = "farness-estimate" if (field, value) == ("samples", 0) else "monotone-check"
+        cfg = {"experiment": experiment, "n": [4], field: value}
         if value is None:
             del cfg[field]
         cfg_file = tmp_path / "cfg.json"
@@ -284,6 +290,15 @@ class TestExperimentRoundtrip:
         assert run_cli("experiment", "--config", str(cfg_file)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--budget", "0"), ("--alpha", "0.5")])
+    def test_out_of_range_override_exits_2(self, tmp_path, capsys, flag, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"experiment": "farness-estimate", "n": [16], "seeds": [0], "samples": 10}))
+        assert run_cli("experiment", "--config", str(cfg_file), flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{flag[2:]}'" in err
 
     @pytest.mark.parametrize("field, known", [("family", "'mono'"), ("tester", "'two-level'")])
     def test_unknown_name_exits_2_before_any_seed(self, tmp_path, capsys, field, known):

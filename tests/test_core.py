@@ -209,6 +209,41 @@ class TestRngStream:
         with pytest.raises(ValueError, match="positive"):
             next(RngStream(7).points(0))
 
+    # count 1, and counts at which the one-weight band leaves the first block
+    # short, so the sampler hashes later blocks of the points still needed
+    @pytest.mark.parametrize("count", [1, 40, 300])
+    @pytest.mark.parametrize("band", ["point", "all"])
+    @pytest.mark.parametrize("n", [1, 15, 16, 63, 64, 65, 100, 128, 129])
+    def test_band_points_twin_points(self, n, band, count):
+        lo = hi = n // 2
+        if band == "all":
+            lo, hi = 0, n
+        fast, slow = RngStream(7, "band"), RngStream(7, "band")
+        got = fast.band_points(n, lo, hi, count)
+        want = list(islice((b for b in slow.points(n) if lo <= b.bit_count() <= hi), count))
+        words = -(-n // 64)
+        assert got.dtype == np.uint64 and got.shape == (count, words)
+        assert [sum(int(v) << 64 * w for w, v in enumerate(row)) for row in got] == want
+        assert fast._calls == slow._calls
+        assert fast.draw(1000) == slow.draw(1000)
+
+    def test_band_points_stream_copies_and_pickles_to_its_continuation(self):
+        s = RngStream(7, "band")
+        head = s.band_points(65, 30, 35, 50)  # the prefix state now exists
+        clones = [copy.copy(s), pickle.loads(pickle.dumps(s))]
+        calls = s._calls
+        tail = s.band_points(65, 30, 35, 50)
+        for c in clones:
+            assert c._calls == calls
+            assert np.array_equal(c.band_points(65, 30, 35, 50), tail)
+        fresh = RngStream(7, "band")
+        assert np.array_equal(fresh.band_points(65, 30, 35, 100), np.concatenate([head, tail]))
+        with pytest.raises(ValueError, match="positive"):
+            RngStream(7).band_points(0, 0, 0, 1)
+        for lo, hi in ((3.2, 3.8), (17, 20), (5, 4)):  # no weight to accept: refused, not an endless loop
+            with pytest.raises(ValueError, match="no weight"):
+                RngStream(7).band_points(16, lo, hi, 1)
+
     def test_uniformity_chi_square(self):
         # frequency of each value over 1e6 draws with range 16 within 5
         # sigma of 1/16, plus the chi-square statistic within 5 sigma of

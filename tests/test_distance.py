@@ -26,7 +26,7 @@ from cubetest.distance import (
     witness_edge_family,
     witness_edge_at,
 )
-from cubetest.families import QuadrantInstance, MonoInstance, UnateInstance
+from cubetest.families import QuadrantInstance, MonoInstance, Route, UnateInstance
 
 
 def _digest(blob: bytes) -> str:
@@ -346,7 +346,8 @@ def _per_point_hits(inst: MonoInstance, samples: int, rng: RngStream) -> int:
 
 # sample counts off a multiple of 8 end in a partial byte of the bitsets
 @pytest.mark.parametrize("samples", [1, 7, 8, 9, 1000])
-@pytest.mark.parametrize("n, term_len", [(16, None), (14, 4), (25, None), (100, None)])
+# n = 65 draws two-word points; it is not a square, so the term length is given
+@pytest.mark.parametrize("n, term_len", [(16, None), (14, 4), (25, None), (100, None), (65, 8)])
 @settings(max_examples=3, deadline=None)
 @given(inst_seed=st.integers(0, 2**32), rng_seed=st.integers(0, 2**63 - 1))
 def test_estimate_matches_the_per_point_loop(n, term_len, samples, inst_seed, rng_seed):
@@ -356,6 +357,28 @@ def test_estimate_matches_the_per_point_loop(n, term_len, samples, inst_seed, rn
     assert est == FarnessEstimate.from_hits(_per_point_hits(inst, samples, slow), samples, rng_seed)
     assert fast._calls == slow._calls
     assert fast.draw(2**64) == slow.draw(2**64)
+
+
+def test_estimate_rejects_a_cell_whose_flip_leaves_the_band():
+    # n=9, band [1.5, 7.5]: at the weight-7 point with 0s at 2 and 4, term 0
+    # alone is satisfied, clause (0, 0) alone is falsified, and its
+    # anti-dictator 4 reads 0 and avoids the clause, but setting it reaches
+    # weight 8, above the band; with a third 0 the same cell is a witness
+    inst = MonoInstance.from_parts(
+        9, "no",
+        terms=[[0, 0], [2, 2]],
+        clauses=[[[2, 2], [3, 3]], [[5, 5], [6, 6]]],
+        dictators=[[4, 5], [7, 8]],
+    )
+    top = BitString(9, 0b111101011)
+    assert inst.route(top) == Route.cell(0, 0) and witness_edge_at(inst, top) is None
+    assert witness_edge_at(inst, top.flip_one(8)) is not None
+    drawn = RngStream(3, "top")
+    assert top in [sample_middle_layer(9, 1.5, 7.5, drawn) for _ in range(2000)]
+    fast, slow = RngStream(3, "top"), RngStream(3, "top")
+    est = estimate_witness_density(inst, 2000, fast)
+    assert est == FarnessEstimate.from_hits(_per_point_hits(inst, 2000, slow), 2000, 3)
+    assert fast._calls == slow._calls
 
 
 # recorded with the per-point estimator: estimate_witness_density of
