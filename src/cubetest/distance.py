@@ -3,10 +3,12 @@
 Exact distance to monotone is the size of a maximum matching in the
 violating-pair graph divided by ``2**n`` (computed with Hopcroft-Karp via
 scipy on the bipartite split 1-side vs 0-side); exact distance to unate
-minimizes that over all orientations.  The directional-edge lower bound
-selects globally vertex-disjoint monotone/anti-monotone edge families
-greedily, so it is always a certified lower bound, never an estimate of
-the optimum.
+minimizes that over all orientations.  scipy is imported on the first
+exact-distance call, not with this module, so a run that computes no
+matching never loads it.  The directional-edge lower bound selects
+globally vertex-disjoint monotone/anti-monotone edge families greedily,
+so it is always a certified lower bound, never an estimate of the
+optimum.
 
 The Monte-Carlo side estimates the density of the disjoint-violating-edge
 witness set of no-world two-level instances and the per-direction
@@ -25,8 +27,6 @@ from operator import and_
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import BitString, ResourceLimitError, RngStream
 from .families import (
@@ -118,10 +118,19 @@ def _violating_pairs(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     )
 
 
+def maximum_bipartite_matching(graph, perm_type: str = "column") -> np.ndarray:
+    """scipy's ``maximum_bipartite_matching``, imported on the first call."""
+    from scipy.sparse.csgraph import maximum_bipartite_matching as matching
+
+    return matching(graph, perm_type=perm_type)
+
+
 def exact_dist_mono(
     table: np.ndarray, n: Optional[int] = None, cap: int = MONO_EXACT_CAP
 ) -> Fraction:
     """Distance to monotone: maximum disjoint violating pairs over 2**n."""
+    from scipy.sparse import csr_matrix
+
     n = n if n is not None else _dim_of(table)
     if n > cap:
         raise ResourceLimitError(f"exact distance capped at n={cap}, got {n}")
@@ -297,7 +306,13 @@ def exhaustive_witness_density(inst: MonoInstance) -> float:
 
 
 def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStream) -> BitString:
-    """Uniform middle-layer point by rejection from the uniform cube."""
+    """Uniform middle-layer point by rejection from the uniform cube.
+
+    Raises ``ValueError`` when no weight of ``0..n`` lies in the band,
+    where the rejection loop would never end.
+    """
+    if max(0, math.ceil(band_low)) > min(n, math.floor(band_high)):
+        raise ValueError(f"no weight of 0..{n} lies in the band [{band_low}, {band_high}]")
     while True:
         x = BitString.random(n, rng)
         if band_low <= x.weight <= band_high:

@@ -120,8 +120,10 @@ class ExperimentConfig:
                 and _is_int_list(list(seeds.values()))):
             seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
         worlds = obj.get("worlds", [])
-        # a farness estimate needs a sample; elsewhere 0 samples means none
-        least = {"samples": int(obj.get("experiment") == "farness-estimate"),
+        # a farness estimate or a soundness check needs a sample; elsewhere
+        # 0 samples means none
+        sampled = obj.get("experiment") in ("farness-estimate", "signature-soundness")
+        least = {"samples": int(sampled),
                  "budget": 1, "queries_per_transcript": 1}
         alpha = obj.get("alpha", 4.0)
         for name, ok, expected in (
@@ -133,7 +135,8 @@ class ExperimentConfig:
             ("seeds", _is_int_list(seeds), "a list of ints or a {start, count} dict"),
             ("worlds", isinstance(worlds, list) and all(w in ("yes", "no") for w in worlds),
              'a list drawn from "yes"/"no"'),
-            *((key, _is_count(obj.get(key, low), low), f"an int >= {low}")
+            *((key, _is_count(obj.get(key, cls.__dataclass_fields__[key].default), low),
+               f"an int >= {low}")
               for key, low in least.items()),
             ("alpha", type(alpha) in (int, float) and alpha >= 1, "an int or a float >= 1"),
         ):

@@ -277,7 +277,7 @@ class TestExperimentRoundtrip:
             ("budget", 0),
             ("queries_per_transcript", 0),
             ("samples", -1),
-            ("samples", 0),  # on farness-estimate, the one experiment that needs a sample
+            ("samples", 0),  # on farness-estimate, one of the two experiments that need a sample
         ],
     )
     def test_malformed_grid_exits_2(self, tmp_path, capsys, field, value):
@@ -290,6 +290,18 @@ class TestExperimentRoundtrip:
         assert run_cli("experiment", "--config", str(cfg_file)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_signature_soundness_without_samples_exits_2(self, tmp_path, capsys):
+        # with the default of 0 samples it would check nothing and pass
+        cfg = {"experiment": "signature-soundness", "n": [16], "seeds": [0, 1]}
+        with pytest.raises(ValueError, match="'samples'"):
+            ExperimentConfig.from_json(cfg)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert run_cli("experiment", "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'samples'" in err
+        assert "failed:" not in err  # no seed ran
 
     @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--budget", "0"), ("--alpha", "0.5")])
     def test_out_of_range_override_exits_2(self, tmp_path, capsys, flag, value):

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetest import distance
 from cubetest.cli import main
 from cubetest.core import BitString, ResourceLimitError, RngStream
 from cubetest.distance import (
@@ -67,6 +72,52 @@ class TestExactDistMono:
         t = np.zeros(8, dtype=np.uint8)
         t[0] = 1
         assert exact_dist_mono(t, 3) == Fraction(1, 8)
+
+
+    def test_matching_goes_through_the_module_function(self, monkeypatch):
+        # the benchmark's tracing wraps distance.maximum_bipartite_matching
+        calls = []
+        inner = distance.maximum_bipartite_matching
+
+        def counted(graph, perm_type="column"):
+            calls.append(perm_type)
+            return inner(graph, perm_type=perm_type)
+
+        monkeypatch.setattr(distance, "maximum_bipartite_matching", counted)
+        assert exact_dist_mono(table_of(lambda x: 1 - x[0], 3)) == Fraction(1, 2)
+        assert calls == ["column"]
+
+
+LAZY_SCIPY_SCRIPT = """
+import importlib, pkgutil, sys
+import numpy as np
+import cubetest
+for mod in pkgutil.walk_packages(cubetest.__path__, "cubetest."):
+    if mod.name != "cubetest.__main__":
+        importlib.import_module(mod.name)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+from cubetest.distance import exact_dist_mono, exact_dist_unate
+t = np.array([(0x6F35 >> i) & 1 for i in range(16)], dtype=np.uint8)
+print(exact_dist_mono(t), exact_dist_unate(t), "scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_on_the_first_exact_distance_call():
+    # a fresh interpreter: importing every cubetest module loads no scipy,
+    # the first exact distance does, and its values are those of the
+    # module-level import (recorded before scipy was made lazy)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3/8", "1/8", "True"]
 
 
 class TestExactDistUnate:
@@ -276,6 +327,16 @@ class TestFarnessEstimate:
         assert est.ci_halfwidth == pytest.approx(
             1.96 * (0.25 * 0.75 / 1000) ** 0.5
         )
+
+    @pytest.mark.parametrize("n, lo, hi", [(16, 3.2, 3.8), (16, 17, 20), (16, -3, -0.5), (4, 3, 2)])
+    def test_middle_layer_sampler_refuses_an_empty_band(self, n, lo, hi):
+        # the rejection loop would never end on a band with no integer weight
+        with pytest.raises(ValueError, match="no weight"):
+            sample_middle_layer(n, lo, hi, RngStream(1))
+
+    def test_middle_layer_sampler_takes_a_one_weight_band(self):
+        x = sample_middle_layer(16, 3.2, 4.0, RngStream(1))
+        assert x.weight == 4
 
     def test_middle_layer_enumeration(self):
         idx = middle_layer_indices(16, 4, 12)
