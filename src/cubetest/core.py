@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -122,10 +124,10 @@ class BitString:
         return self.bits.bit_count()
 
     def one_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        return _set_bits(self.bits)
 
     def zero_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if not (self.bits >> i) & 1)
+        return _set_bits(self.bits ^ ((1 << self.n) - 1))
 
     def to_array(self) -> np.ndarray:
         """Boolean numpy array of the coordinates, built on each call."""
@@ -205,6 +207,15 @@ class BitString:
 
     def __str__(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``bits``, ascending: its binary digits,
+    lowest first, as 0/1 bytes pick from the count 0, 1, 2, ..."""
+    return tuple(compress(count(), format(bits, "b")[::-1].encode().translate(_BIT_VALUES)))
 
 
 class IndexSet:
@@ -288,11 +299,40 @@ def derive_generator(master_seed: int, *path: int | str) -> np.random.Generator:
     """Counter-based numpy generator keyed by ``(master_seed, *path)``.
 
     Philox is a pure integer-arithmetic counter generator, so the stream is
-    reproducible across platforms.  Used by the family samplers to derive
-    terms/clauses/dictators independently per index without materializing
-    anything up front.
+    reproducible across platforms.  Each call returns a new, independent
+    generator.  The family samplers take the same streams from
+    :func:`_rekeyed_generator`, to derive terms/clauses/dictators
+    independently per index without materializing anything up front.
     """
     return np.random.Generator(np.random.Philox(key=derive_key(master_seed, *path)))
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_rekeyed = threading.local()  # one Philox and its Generator per thread
+
+
+def _rekeyed_generator(master_seed: int, *path: int | str) -> np.random.Generator:
+    """The stream of :func:`derive_generator`, from a reused generator.
+
+    Building a ``Philox`` costs several times as much as keying one, so
+    each thread keeps one and sets the state of a fresh ``Philox(key=...)``
+    on it: counter 0, an empty buffer and no saved 32-bit half.  The
+    generator is the same object on the next call in this thread, so the
+    caller must take its draws before that call.
+    """
+    gen = getattr(_rekeyed, "gen", None)
+    if gen is None:
+        gen = _rekeyed.gen = np.random.Generator(np.random.Philox(0))
+    key = derive_key(master_seed, *path)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], np.uint64)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 class RngStream:

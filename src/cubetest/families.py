@@ -26,9 +26,10 @@ parallel query evaluation is safe.
 
 Two-level rows: a sampled :class:`MonoInstance` derives each clause block
 and dictator row from ``(seed, role, index)`` via counter-based generators
-the first time it is asked for, which is what makes dimensions with
-``N**2`` clause cells feasible; a miss derives only the row asked for, so
-the order of queries never changes a row.  A hand-built one
+(one ``Philox`` per thread, re-keyed for each row) the first time it is
+asked for, which is what makes dimensions with ``N**2`` clause cells
+feasible; a miss derives only the row asked for, so the order of queries
+never changes a row.  A hand-built one
 (``from_parts``, the ``explicit`` JSON form) starts with every row pinned.
 
 Per-query scans: a query is answered from its ``BitString.bits`` integer,
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,7 +55,7 @@ from .core import (
     BitString,
     IndexSet,
     ResourceLimitError,
-    derive_generator,
+    _rekeyed_generator,
 )
 
 __all__ = [
@@ -230,8 +231,14 @@ class Term:
     n: int
     vars: tuple[int, ...]
 
+    @cached_property
+    def mask(self) -> int:
+        """Bit mask of ``vars``, built from them and not from the scan
+        tables, so that these views stay a twin of the oracles."""
+        return reduce(or_, (1 << v for v in self.vars), 0)
+
     def satisfied_by(self, x: BitString) -> bool:
-        return all(x[v] for v in self.vars)
+        return x.bits & self.mask == self.mask
 
 
 @dataclass(frozen=True)
@@ -241,8 +248,10 @@ class Clause:
     n: int
     vars: tuple[int, ...]
 
+    mask = Term.mask
+
     def falsified_by(self, x: BitString) -> bool:
-        return not any(x[v] for v in self.vars)
+        return not x.bits & self.mask
 
 
 @dataclass(frozen=True)
@@ -356,7 +365,7 @@ class MonoInstance:
             if not _is_square(n):
                 raise ValueError("n must be a perfect square")
             term_len = math.isqrt(n)
-        terms = derive_generator(seed, "mono", "terms").integers(
+        terms = _rekeyed_generator(seed, "mono", "terms").integers(
             0, n, size=(1 << term_len, term_len), dtype=np.int32
         )
         return cls(n, world, terms=terms, seed=seed)
@@ -390,7 +399,7 @@ class MonoInstance:
         # only a miss reaches this check, so a stored row pays nothing for it
         if not 0 <= i < self.N:
             raise IndexError(f"term {i} out of range for N={self.N}")
-        row = derive_generator(self.seed, "mono", role, i).integers(
+        row = _rekeyed_generator(self.seed, "mono", role, i).integers(
             0, self.n, size=size, dtype=np.int32
         )
         self._rows[role, i] = row
@@ -573,11 +582,11 @@ class FlippedDnfInstance:
             raise ValueError("n must be a perfect square")
         m = math.isqrt(n)
         N = 1 << m
-        terms = derive_generator(seed, "flipdnf", "terms").integers(
+        terms = _rekeyed_generator(seed, "flipdnf", "terms").integers(
             0, n, size=(N, m), dtype=np.int32
         )
         if world == "no":
-            mask = derive_generator(seed, "flipdnf", "sflip").random(n) < 1.0 / m
+            mask = _rekeyed_generator(seed, "flipdnf", "sflip").random(n) < 1.0 / m
             s = IndexSet(n, np.flatnonzero(mask))
         else:
             s = IndexSet(n, ())
@@ -747,25 +756,25 @@ class UnateInstance:
         half = n // 2
         N = cls.size_for(n)
         m_sorted = np.sort(
-            derive_generator(seed, "unate", "M").permutation(n)[:half]
+            _rekeyed_generator(seed, "unate", "M").permutation(n)[:half]
         ).astype(np.int32)
-        inside = derive_generator(seed, "unate", "terms").random((N, half)) < (
+        inside = _rekeyed_generator(seed, "unate", "terms").random((N, half)) < (
             1.0 / math.sqrt(n)
         )
         masks = np.zeros((N, n), dtype=bool)
         masks[:, m_sorted] = inside
         mbar = _complement(n, m_sorted)
         dict_vars = mbar[
-            derive_generator(seed, "unate", "dict").integers(0, half, size=N)
+            _rekeyed_generator(seed, "unate", "dict").integers(0, half, size=N)
         ].astype(np.int32)
         if world == "no":
             negated = (
-                derive_generator(seed, "unate", "polarity").integers(0, 2, size=N) == 1
+                _rekeyed_generator(seed, "unate", "polarity").integers(0, 2, size=N) == 1
             )
         else:
             negated = np.zeros(N, dtype=bool)
-        r_bits = derive_generator(seed, "unate", "r").integers(0, 2, size=half)
-        s_bits = derive_generator(seed, "unate", "s").integers(0, 2, size=half)
+        r_bits = _rekeyed_generator(seed, "unate", "r").integers(0, 2, size=half)
+        s_bits = _rekeyed_generator(seed, "unate", "s").integers(0, 2, size=half)
         return cls._oriented(
             n, world, m_sorted, masks, dict_vars, negated, r_bits, s_bits, seed
         )
@@ -941,8 +950,8 @@ class OneLevelInstance(UnateInstance):
         if not _is_square(n):
             raise ValueError("n must be a perfect square")
         N = 1 << math.isqrt(n)
-        masks = derive_generator(seed, "onelevel", "terms").random((N, n)) < 1.0 / math.sqrt(n)
-        dict_vars = derive_generator(seed, "onelevel", "dict").integers(
+        masks = _rekeyed_generator(seed, "onelevel", "terms").random((N, n)) < 1.0 / math.sqrt(n)
+        dict_vars = _rekeyed_generator(seed, "onelevel", "dict").integers(
             0, n, size=N, dtype=np.int32
         )
         return cls(n, world, term_masks=masks, dict_vars=dict_vars, seed=seed)
@@ -1003,8 +1012,7 @@ class QuadrantInstance:
 
     @classmethod
     def sample(cls, n: int, seed: int) -> "QuadrantInstance":
-        gen = derive_generator(seed, "quadrant", "index")
-        return cls(n, int(gen.integers(0, n)))
+        return cls(n, int(_rekeyed_generator(seed, "quadrant", "index").integers(0, n)))
 
     def value(self, z: BitString) -> int:
         if z.n != self.dimension:

@@ -239,51 +239,64 @@ def unate_transcript_likelihood(
     for i in sorted(t.I_S):
         p_no *= len(t.common_coords(i) & t.Mbar) / n
 
-    special = {i: t.delta[i] for i in t.I_B}
-    d_set = set(special.values())
-    relevant: set[int] = set(d_set)
     constraints: dict[int, list[int]] = {}  # i in I_S -> candidate coords
     for i in sorted(t.I_S):
-        cand = sorted(t.common_coords(i) & t.Mbar)
-        constraints[i] = cand
-        relevant |= set(cand)
-    coords = sorted(relevant)
+        constraints[i] = sorted(t.common_coords(i) & t.Mbar)
+    coords = sorted({t.delta[i] for i in t.I_B}.union(*constraints.values()))
 
-    def z_product(bits: dict[int, int]) -> float:
-        out = 1.0
-        for i in sorted(t.I_B):
-            k = special[i]
-            if reps[i][k] ^ bits[k] == alphas[i]:
-                out *= 2.0 / n
-            else:
+    # An assignment of the orientation on ``coords`` is an int ``a`` with
+    # ``coords[r]`` at bit ``L-1-r``, so counting ``a`` up runs through
+    # ``product((0, 1), repeat=L)`` in order.  Term ``i`` agrees with its
+    # representative at ``k`` when ``a`` holds ``reps[i][k] ^ alphas[i]``
+    # there: ``want`` holds those bits over ``mask``, the term's coords.
+    L = len(coords)
+    place = {k: 1 << (L - 1 - r) for r, k in enumerate(coords)}
+
+    def mask_want(i: int, ks) -> tuple[int, int]:
+        mask = want = 0
+        for k in ks:
+            mask |= place[k]
+            if reps[i][k] ^ alphas[i]:
+                want |= place[k]
+        return mask, want
+
+    breached = [mask_want(i, (t.delta[i],)) for i in sorted(t.I_B)]
+    safe = [mask_want(i, constraints[i]) for i in sorted(t.I_S)]
+    breached_factor = 1.0  # one factor per breached term, multiplied in term order
+    for _ in breached:
+        breached_factor *= 2.0 / n
+    half_n = n / 2.0
+
+    def z_product(a: int) -> float:
+        for mask, want in breached:
+            if (a ^ want) & mask:
                 return 0.0
-        for i in sorted(t.I_S):
-            cnt = sum(
-                1 for k in constraints[i] if reps[i][k] ^ bits[k] == alphas[i]
-            )
-            out *= cnt / (n / 2.0)
+        out = breached_factor
+        for mask, want in safe:
+            out *= (~(a ^ want) & mask).bit_count() / half_n
         return out
 
     if mode == "auto":
-        mode = "exhaustive" if len(coords) <= EXHAUSTIVE_CAP else "monte_carlo"
+        mode = "exhaustive" if L <= EXHAUSTIVE_CAP else "monte_carlo"
     if mode == "exhaustive":
-        if len(coords) > EXHAUSTIVE_CAP:
+        if L > EXHAUSTIVE_CAP:
             raise ResourceLimitError(
-                f"{len(coords)} relevant coordinates exceed the exhaustive "
-                f"cap {EXHAUSTIVE_CAP}"
+                f"{L} relevant coordinates exceed the exhaustive cap {EXHAUSTIVE_CAP}"
             )
         total = 0.0
-        for assignment in product((0, 1), repeat=len(coords)):
-            total += z_product(dict(zip(coords, assignment)))
-        p_yes = total / (1 << len(coords))
+        for a in range(1 << L):
+            total += z_product(a)
+        p_yes = total / (1 << L)
         return UnateLikelihood(p_yes, p_no)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     rng = rng or RngStream(0, "unate-likelihood")
     vals = np.empty(samples)
     for it in range(samples):
-        bits = {k: rng.randint0(2) for k in coords}
-        vals[it] = z_product(bits)
+        a = 0
+        for _ in range(L):  # one draw per coordinate, in ``coords`` order
+            a = (a << 1) | rng.randint0(2)
+        vals[it] = z_product(a)
     p_yes = float(vals.mean())
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
     return UnateLikelihood(p_yes, p_no, p_yes_ci=half, samples=samples)

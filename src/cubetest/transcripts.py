@@ -76,7 +76,7 @@ class ClassifierConfig:
     breach_cap: Optional[float] = None  # n^(1/3) / log n
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if not self.alpha >= 1:  # NaN fails every comparison
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
@@ -89,8 +89,11 @@ class ClassifierConfig:
             "breach_cap": n ** (1.0 / 3.0) / log_n,
         }
         for name, value in standard.items():
-            if getattr(self, name) is None:
+            given = getattr(self, name)
+            if given is None:
                 object.__setattr__(self, name, value)
+            elif math.isnan(given):  # a NaN threshold would never fire
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -276,15 +279,13 @@ class MonoTranscript(_Transcript):
                 if not self.A1[i] <= self.Aij1[(i, j)]:
                     bad.append(f"A_({i},1) not within A_({i},{j},1)")
                 for q in self.Pij[(i, j)]:
-                    x = self.queries[q][0]
-                    x_ones = set(x.one_indices())
+                    x = self.queries[q][0].bits
                     lost = 0
                     for q2 in self.Pij[(i, j)]:
                         if q2 == q:
                             continue
-                        y = self.queries[q2][0]
-                        lost += len(x_ones - set(y.one_indices()))
-                    if len(self.Aij1[(i, j)]) < len(x_ones) - lost:
+                        lost += (x & ~self.queries[q2][0].bits).bit_count()
+                    if len(self.Aij1[(i, j)]) < x.bit_count() - lost:
                         bad.append(f"pairwise count bound fails at ({i},{j})")
         return bad
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+import threading
 from itertools import islice
 
 import numpy as np
@@ -16,7 +17,9 @@ from cubetest.core import (
     DimensionMismatchError,
     IndexSet,
     RngStream,
+    _rekeyed_generator,
     derive_generator,
+    derive_key,
 )
 
 
@@ -94,6 +97,16 @@ class TestBitString:
         x = BitString(9, 0b101100101)
         arr = x.to_array()
         assert [int(v) for v in arr] == [x[i] for i in range(9)]
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 64, 65, 100])
+    def test_indices_match_the_coordinate_loop(self, n):
+        g = RngStream(n, "indices")
+        points = [0, (1 << n) - 1, 1, 1 << (n - 1)]
+        points += [BitString.random(n, g).bits for _ in range(50)]
+        for bits in points:
+            x = BitString(n, bits)
+            assert x.one_indices() == tuple(i for i in range(n) if x[i])
+            assert x.zero_indices() == tuple(i for i in range(n) if not x[i])
 
     def test_large_dimension(self):
         x = BitString.ones(4096)
@@ -278,3 +291,54 @@ class TestDeriveGenerator:
         a = derive_generator(3, "role", 1).integers(0, 1000, size=50)
         b = derive_generator(3, "role", 2).integers(0, 1000, size=50)
         assert not np.array_equal(a, b)
+
+
+class TestRekeyedGenerator:
+    """The per-thread re-keyed generator against a fresh
+    ``Generator(Philox(key=derive_key(...)))``, its slow twin."""
+
+    # each draw leaves the reused generator in a different state: int32 draws
+    # of odd length keep a 32-bit half, the others move the counter
+    DRAWS = [
+        lambda g: g.integers(0, 16, size=(3,), dtype=np.int32),
+        lambda g: g.integers(0, 100, size=(16, 4)),
+        lambda g: g.random(7),
+        lambda g: g.permutation(17),
+        lambda g: g.integers(0, 2, size=5, dtype=np.int32),
+        lambda g: g.integers(0, 1 << 40),
+    ]
+
+    def test_matches_a_fresh_generator_on_every_draw(self):
+        paths = [(0,), ("mono", "terms"), ("mono", "clauses", 5), ("unate", "M"),
+                 ("x", -1, "y", 2**62)]
+        for seed in (0, 1, 7, 2**63 + 5):
+            for path in paths:
+                for draw in self.DRAWS:
+                    want = draw(np.random.Generator(np.random.Philox(key=derive_key(seed, *path))))
+                    assert np.array_equal(draw(_rekeyed_generator(seed, *path)), want)
+                    assert np.array_equal(draw(derive_generator(seed, *path)), want)
+
+    def test_two_threads_keep_their_own_rows(self):
+        # each thread keys its generator, both wait, then both draw: a
+        # generator shared by the threads would hand one of them the other's key
+        steps, barrier = 20, threading.Barrier(2, timeout=10)
+        got = {0: [], 1: []}
+
+        def work(tid):
+            for step in range(steps):
+                g = _rekeyed_generator(5, "thread", tid, step)
+                barrier.wait()
+                got[tid].append(g.integers(0, 1 << 30, size=8))
+                barrier.wait()
+
+        threads = [threading.Thread(target=work, args=(tid,)) for tid in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+        for tid in (0, 1):
+            assert len(got[tid]) == steps
+            for step, row in enumerate(got[tid]):
+                want = derive_generator(5, "thread", tid, step).integers(0, 1 << 30, size=8)
+                assert np.array_equal(row, want)

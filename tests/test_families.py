@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cubetest.cli import _dump_json
 from cubetest.cli import main as cli_main
-from cubetest.core import BitString, ResourceLimitError
+from cubetest.core import BitString, ResourceLimitError, derive_generator
 from cubetest.families import (
     FlippedDnfInstance,
     QuadrantInstance,
@@ -79,6 +79,28 @@ class TestMonoSampling:
             assert np.array_equal(lazy.dict_row(i), pinned.dict_row(i))
         assert lazy.to_json()["storage"] == "lazy"
         assert pinned.to_json()["storage"] == "explicit"
+
+    def test_rows_do_not_depend_on_derivation_order(self):
+        # rows come from a generator re-keyed per row: deriving them in
+        # another order, between other draws, gives the same rows, and
+        # those of the independent derive_generator
+        a = MonoInstance.sample(16, "no", seed=3)
+        b = MonoInstance.sample(16, "no", seed=3)
+        for i in range(16):
+            a.clause_block(i)
+            a.dict_row(i)
+        for i in reversed(range(16)):
+            b.dict_row(i)
+            UnateInstance.sample(16, "no", seed=i)
+            b.clause_block(i)
+        for i in range(16):
+            clauses = derive_generator(3, "mono", "clauses", i).integers(
+                0, 16, size=(16, 4), dtype=np.int32
+            )
+            dicts = derive_generator(3, "mono", "dict", i).integers(0, 16, size=16, dtype=np.int32)
+            for inst in (a, b):
+                assert np.array_equal(inst.clause_block(i), clauses)
+                assert np.array_equal(inst.dict_row(i), dicts)
 
     def test_row_index_out_of_range(self):
         # a row outside [0, N) is not part of the instance: nothing is

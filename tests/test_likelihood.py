@@ -204,6 +204,28 @@ class TestUnateLikelihood:
         out = unate_transcript_likelihood(other, oracle.transcript, mode="exhaustive")
         assert out.p_yes == 0.0 and out.p_no == 0.0
 
+    def test_reprs_pinned(self):
+        # blake2b of the reprs, bit for bit: exhaustive mode on 20 transcripts
+        # with breached and safe terms, and Monte-Carlo mode with its
+        # interval and the number of draws it took from the stream
+        exhaustive = []
+        for seed in range(20):
+            inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            t = self.grow(inst, 4 + seed % 9, seed).transcript
+            exhaustive.append(repr(unate_transcript_likelihood(inst, t, mode="exhaustive")))
+        monte_carlo = []
+        for seed in (3, 5, 8, 13):
+            inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            t = self.grow(inst, 8, seed).transcript
+            rng = RngStream(seed, "pinned-mc")
+            out = unate_transcript_likelihood(inst, t, mode="monte_carlo", samples=500, rng=rng)
+            monte_carlo.append(f"{out!r} calls={rng._calls}")
+        digests = [
+            hashlib.blake2b("\n".join(lines).encode(), digest_size=16).hexdigest()
+            for lines in (exhaustive, monte_carlo)
+        ]
+        assert digests == ["b393b74e87b458cd38d24d9bce47eae3", "ce2a8cd3defa17972df49a6e98932796"]
+
 
 class TestPinnedLeafLikelihoods:
     """Pinned blake2b digest of the reprs (and error messages) of the four

@@ -334,6 +334,20 @@ class TestUnateTranscript:
             t.extend(point(16, [0]), sig2)
 
 
+class TestClassifierConfig:
+    @pytest.mark.parametrize("field", ["alpha", "mono_drop", "unate_drop", "breach_cap"])
+    def test_nan_threshold_refused(self, field):
+        # a NaN threshold compares false with every drop, so its event never fires
+        with pytest.raises(ValueError, match=field):
+            ClassifierConfig(16, **{field: float("nan")})
+
+    def test_integer_thresholds_load(self):
+        cfg = ClassifierConfig(16, mono_drop=4, unate_drop=6, breach_cap=5)
+        assert (cfg.mono_drop, cfg.unate_drop, cfg.breach_cap) == (4, 6, 5)
+        with pytest.raises(ValueError, match="alpha"):
+            ClassifierConfig(16, alpha=0.5)
+
+
 class TestUnateClassifier:
     def test_first_query_clean(self):
         t = UnateTranscript(16, range(8))

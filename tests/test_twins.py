@@ -21,10 +21,12 @@ import numpy as np
 
 from cubetest.core import BitString, RngStream
 from cubetest.families import (
+    Clause,
     FlippedDnfInstance,
     MonoInstance,
     OneLevelInstance,
     QuadrantInstance,
+    Term,
     UnateInstance,
     _hits,
     _pack,
@@ -207,6 +209,19 @@ def test_hits_matches_the_plain_loop(case):
     assert _hits(bits, tables) == satisfied
     falsified = _first_two_rows(rows, lambda row: not any(x[v] for v in row))
     assert _hits(bits ^ ((1 << n) - 1), tables) == falsified
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rows_and_point())
+def test_term_and_clause_masks_match_their_definitions(case):
+    # the mask tests of the views against the definitions, on rows with
+    # duplicates and empty rows (an empty term holds at every point, an
+    # empty clause is falsified by every point)
+    n, rows, bits = case
+    x = BitString(n, bits)
+    for row in rows + [[], [n - 1] * 3]:
+        assert Term(n, tuple(row)).satisfied_by(x) == all(x[v] for v in row)
+        assert Clause(n, tuple(row)).falsified_by(x) == (not any(x[v] for v in row))
 
 
 @settings(max_examples=60, deadline=None)
