@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from operator import and_
 from typing import Optional
 
@@ -30,8 +31,7 @@ import numpy as np
 
 from .core import BitString, ResourceLimitError, RngStream
 from .families import (
-    MonoInstance, UnateInstance, _band_class, _bit_masks, _columns, _cube_weights, _first_two,
-    _hits,
+    MonoInstance, UnateInstance, _bit_masks, _columns, _cube_weights, _first_two, _hits,
 )
 
 __all__ = [
@@ -349,17 +349,21 @@ def estimate_witness_density(
     sample is drawn in one block by :meth:`RngStream.band_points`, and the
     term level of the multiplexer is bitsliced over it: one bitset over
     the sample per variable, ANDed per term.  The points that satisfy
-    exactly one term go through the clause and cell checks of
-    ``witness_edge_at`` on their integer bits, each check made only when
-    the ones before it pass.
+    exactly one term ``i`` meet its clause block as one array: their
+    0-coordinates packed 8 points to a byte, ANDed over the variables of
+    each clause, give per clause the points that falsify it.  The cell
+    checks of ``witness_edge_at`` run as masks over the points that
+    falsify exactly one clause, and the few that pass them all go through
+    the last check, that no other term holds after the flip, on ints.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     _require_witness_instance(inst)
     rng = rng or RngStream(0, "witness-estimate")
-    n, lo, hi = inst.n, inst.band_low, inst.band_high
-    block = rng.band_points(n, lo, hi, samples)
-    cols = _columns(_point_rows(block, n))
+    n, hi = inst.n, inst.band_high
+    block = rng.band_points(n, inst.band_low, hi, samples)
+    rows = _point_rows(block, n)
+    cols = _columns(rows)
     terms = inst._terms.tolist()
 
     def satisfying(term: list[int], among: int) -> int:
@@ -371,28 +375,30 @@ def estimate_witness_density(
         two |= one & sat
         one |= sat
     once = one & ~two
-    points = _point_ints(block)
-    full = (1 << n) - 1
-    hits = 0
+    picked: list[int] = []  # the sample index of each point that passes the cell checks
+    cells: list[tuple[int, int]] = []  # and its term and anti-dictator
     for i, term in enumerate(terms):
         mine = satisfying(term, once)
         if not mine:
             continue
-        clause_tables = inst._clause_tables(i)
-        for p in _set_bits(mine, samples):
-            b = points[p]
-            fals = _hits(b ^ full, clause_tables)
-            if len(fals) != 1:
-                continue
-            j = fals[0]
-            k = inst.dict_row(i).item(j)
-            # a list of m ints: numpy's `in` costs several times more
-            if (b >> k) & 1 or k in inst.clause_block(i)[j].tolist():
-                continue
-            up = b | 1 << k
-            if (_band_class(up.bit_count(), lo, hi) == "middle"
-                    and _hits(up, inst._term_tables) == [i]):
-                hits += 1
+        at = _set_bits(mine, samples)
+        x = rows[at]
+        blk = inst.clause_block(i)
+        # zeros[b, v] packs whether points 8b .. 8b + 7 read 0 at v, and
+        # fals[p, j] is 1 when point p falsifies clause j
+        zeros = np.packbits(x ^ 1, axis=0)
+        fals = np.unpackbits(np.bitwise_and.reduce(zeros[:, blk], axis=2), axis=0, count=len(at))
+        p = np.flatnonzero(fals.sum(axis=1) == 1)
+        j = fals[p].argmax(axis=1)
+        k = inst.dict_row(i)[j]
+        # x_k reads 0, k avoids clause j, and x^(k) stays in the band: x is
+        # in it, so only the top weight can be left
+        keep = ((x[p, k] == 0) & (blk[j] != k[:, None]).all(axis=1)
+                & (x[p].sum(axis=1) + 1 <= hi))
+        picked += at[p[keep]].tolist()
+        cells += zip(repeat(i), k[keep].tolist())
+    hits = sum(_hits(b | 1 << k, inst._term_tables) == [i]
+               for b, (i, k) in zip(_point_ints(block[picked]), cells))
     return FarnessEstimate.from_hits(hits, samples, seed=rng.master_seed)
 
 

@@ -433,16 +433,12 @@ class MonoInstance:
         """Indices of the first two satisfied terms, ascending."""
         return _hits(x.bits, self._term_tables)
 
-    def _clause_tables(self, i: int) -> _Tables:
-        """Scan tables of the clause block of term ``i``, built on first use."""
+    def falsified_clauses(self, i: int, x: BitString) -> list[int]:
+        """Indices of the first two clauses of row ``i`` falsified by x."""
         tables = self._rows.get(("clause_tables", i))
         if tables is None:
             tables = self._rows["clause_tables", i] = _pack_members(self.n, self.clause_block(i))
-        return tables
-
-    def falsified_clauses(self, i: int, x: BitString) -> list[int]:
-        """Indices of the first two clauses of row ``i`` falsified by x."""
-        return _hits(x.bits ^ ((1 << self.n) - 1), self._clause_tables(i))
+        return _hits(x.bits ^ ((1 << self.n) - 1), tables)
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""

@@ -145,12 +145,20 @@ class _Transcript:
         self.rho: dict = {}
         self.bad_edge: Optional[EdgeClass] = None
         self.edge_classes: list[Optional[EdgeClass]] = []
+        self._last_coords: tuple = (None, frozenset(), frozenset())
 
     def __len__(self) -> int:
         return len(self.queries)
 
+    def _coords(self, x: BitString) -> tuple[frozenset[int], frozenset[int]]:
+        """The ones and the zeros of the query ``x``.  A classifier and
+        then ``extend`` take the same query, so the last answer is kept."""
+        if self._last_coords[0] != x:
+            self._last_coords = (x, frozenset(x.one_indices()), frozenset(x.zero_indices()))
+        return self._last_coords[1:]
+
     def _track(self, P: dict, R: dict, A1: dict, A0: dict, keys: Iterable,
-               outside: Callable, ones: set[int], zeros: set[int]) -> list:
+               outside: Callable, ones: frozenset[int], zeros: frozenset[int]) -> list:
         """Add the newest query to ``P`` of each of ``keys`` (the terms or
         cells it is a member of) and narrow their ``A1``/``A0`` to its
         ``ones``/``zeros``; a new key's ``R`` starts with the earlier queries
@@ -170,24 +178,22 @@ class _Transcript:
                 R[key] = [q for q, (_, s) in enumerate(self.queries[:qidx]) if outside(s, key)]
         return new
 
-    def _extend_terms(self, x: BitString, sig, sig_type: type) -> tuple[list, set, set]:
+    def _extend_terms(self, x: BitString, sig, sig_type: type) -> list:
         """Append one (query, signature) pair and update the term level,
-        ``R`` included; returns the new terms and the query's ones/zeros."""
+        ``R`` included; returns the new terms."""
         if x.n != self.n:
             raise ValueError(f"query has n={x.n}, transcript has n={self.n}")
         if not isinstance(sig, sig_type):
             raise ValueError(f"expected a {sig_type.__name__}, got {type(sig).__name__}")
         self.queries.append((x, sig))
-        ones = set(x.one_indices())
-        zeros = set(x.zero_indices())
         new = self._track(self.P, self.R, self.A1, self.A0, sig.term.members(), _outside_term,
-                          ones, zeros)
+                          *self._coords(x))
         self.I.update(new)
         qidx = len(self.queries) - 1
         for i in self.I:
             if sig.term.entry(i) == 0:
                 self.R[i].append(qidx)
-        return new, ones, zeros
+        return new
 
     def dump_jsonl(self) -> str:
         """One JSON record per query: point, signature, the cumulative
@@ -234,8 +240,7 @@ class MonoTranscript(_Transcript):
 
     def extend(self, x: BitString, sig: FullSignature) -> None:
         """Append one (query, signature) pair and update the tuple."""
-        new, ones, zeros = self._extend_terms(x, sig, FullSignature)
-        for i in new:
+        for i in self._extend_terms(x, sig, FullSignature):
             self.J[i] = set()
         if sig.term.kind != "unique":
             return
@@ -243,7 +248,7 @@ class MonoTranscript(_Transcript):
         qidx = len(self.queries) - 1
         cells = [(i, j) for j in sig.clause.zero_members()]
         for _, j in self._track(self.Pij, self.Rij, self.Aij1, self.Aij0, cells, _outside_cell,
-                                ones, zeros):
+                                *self._coords(x)):
             self.J[i].add(j)
         for j in self.J[i]:
             if sig.clause.entry(j) == 1:
@@ -384,8 +389,7 @@ def classify_mono_edge(
     """
     if t.bad_edge is not None:
         return EdgeClass()
-    ones = set(x.one_indices())
-    zeros = set(x.zero_indices())
+    ones, zeros = t._coords(x)
     found: list[EdgeClass] = []
 
     for i in sorted(set(sig.term.members()) & t.I):
@@ -595,8 +599,7 @@ def classify_unate_edge(
     """
     if t.bad_edge is not None:
         return EdgeClass()
-    ones = set(x.one_indices())
-    zeros = set(x.zero_indices())
+    ones, zeros = t._coords(x)
     for i in sorted(set(sig.term.members()) & t.I_S):
         drop = len(t.A1[i] - ones) + len(t.A0[i] - zeros)
         if drop >= cfg.unate_drop:

@@ -1,0 +1,105 @@
+"""``scripts/bench_pairs.py`` builds its report from run output alone.
+
+The report must keep the shape of the checked-in ``BENCH_transcript.json``,
+and a pair whose digests differ must stop the script.  Both are checked on
+canned ``perfbench/run.py`` output, without starting a benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+bench_pairs = _load()
+METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _stdout(workload: str, seed: int, ops_per_s: float, digest: str, failed: int = 0) -> str:
+    metrics = {
+        "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+        "op_ms_p50": {"value": 1e3 / ops_per_s, "unit": "ms"},
+        "op_ms_p90": {"value": 2e3 / ops_per_s, "unit": "ms"},
+        "setup_s": {"value": 0.2, "unit": "s"},
+        "peak_rss_mb": {"value": 40.0 + seed, "unit": "MB"},
+    }
+    return "\n".join([
+        "speed_factor=1.02 unscaled ops_per_s=100 op_ms_p50=10 op_ms_p90=20 setup_s=0.2",
+        f"workload={workload} seed={seed} trace=0 ops=300 failed={failed} "
+        f"failed_frac={failed / 300:.6g} digest={digest} digest_ops=72",
+        json.dumps({"correct": failed == 0, "attempted": 300, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+def _runs() -> list[dict]:
+    runs = []
+    for workload in ("mc-n16", "attack-n100"):
+        for seed in (1, 2, 3, 4):
+            digest = f"{workload}-{seed}"
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                # the change is faster on seeds 1-3 and as fast on seed 4
+                rate = 100.0 + seed + (20.0 if side == "change" and seed < 4 else 0.0)
+                out = bench_pairs.parse_run(_stdout(workload, seed, rate, digest))
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "ran_first": side == order[0], **out})
+    return runs
+
+
+def _shape(obj):
+    """Keys of nested dicts, with per-seed digest keys and list items left out."""
+    if isinstance(obj, dict):
+        return {k: (None if k == "digests" else _shape(v)) for k, v in obj.items()}
+    return type(obj).__name__ if not isinstance(obj, list) else "list"
+
+
+def test_report_keeps_the_shape_of_the_checked_in_reports():
+    runs = _runs()
+    summary = bench_pairs.summarise(runs, METRICS)
+    old = json.loads((ROOT / "BENCH_transcript.json").read_text())
+    assert _shape(summary["mc-n16"]) == _shape(old["summary"]["mc-n16"])
+    assert _shape(runs[0]) == _shape(old["runs"][0])
+    assert _shape(bench_pairs.machine()).keys() == old["machine"].keys()
+
+    rate = summary["mc-n16"]["ops_per_s"]
+    assert rate["pairs"] == 4 and rate["change_better_pairs"] == 3
+    assert rate["parent"]["median"] == 102.5
+    # lower is better for latency: the faster change wins the same pairs
+    assert summary["attack-n100"]["op_ms_p50"]["change_better_pairs"] == 3
+    assert summary["mc-n16"]["peak_rss_mb"]["change_better_pairs"] == 0
+    assert summary["mc-n16"]["digests"] == {str(s): f"mc-n16-{s}" for s in (1, 2, 3, 4)}
+    assert summary["mc-n16"]["digests_equal_every_pair"] is True
+    assert summary["mc-n16"]["failed_ops"] == {"parent": 0, "change": 0}
+    assert [(r["seed"], r["side"]) for r in runs[:4]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
+
+
+def test_differing_digests_stop_the_script():
+    parent = bench_pairs.parse_run(_stdout("mc-n16", 5, 100.0, "aaaa"))
+    change = bench_pairs.parse_run(_stdout("mc-n16", 5, 120.0, "bbbb"))
+    bench_pairs.check_pair("mc-n16", 5, parent, parent)
+    with pytest.raises(SystemExit, match="mc-n16 seed 5: digests differ"):
+        bench_pairs.check_pair("mc-n16", 5, parent, change)
+
+
+def test_output_without_a_summary_line_is_refused():
+    with pytest.raises(ValueError, match="no single summary line"):
+        bench_pairs.parse_run('{"correct": true}\n')
+
+
+@pytest.mark.parametrize("text, seeds", [("11-20", list(range(11, 21))), ("3", [3])])
+def test_seed_range(text, seeds):
+    assert bench_pairs.seed_range(text) == seeds

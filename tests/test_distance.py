@@ -406,7 +406,8 @@ def _per_point_hits(inst: MonoInstance, samples: int, rng: RngStream) -> int:
 
 
 # sample counts off a multiple of 8 end in a partial byte of the bitsets
-@pytest.mark.parametrize("samples", [1, 7, 8, 9, 1000])
+# 4000 samples at n = 16 is the mc-n16 benchmark's size
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 1000, 4000])
 # n = 65 draws two-word points; it is not a square, so the term length is given
 @pytest.mark.parametrize("n, term_len", [(16, None), (14, 4), (25, None), (100, None), (65, 8)])
 @settings(max_examples=3, deadline=None)
@@ -415,30 +416,82 @@ def test_estimate_matches_the_per_point_loop(n, term_len, samples, inst_seed, rn
     inst = MonoInstance.sample(n, "no", inst_seed, term_len=term_len)
     fast, slow = RngStream(rng_seed, "twin"), RngStream(rng_seed, "twin")
     est = estimate_witness_density(inst, samples, fast)
+    assert not [key for key in inst._rows if key[0] == "clause_tables"]
     assert est == FarnessEstimate.from_hits(_per_point_hits(inst, samples, slow), samples, rng_seed)
     assert fast._calls == slow._calls
     assert fast.draw(2**64) == slow.draw(2**64)
 
 
-def test_estimate_rejects_a_cell_whose_flip_leaves_the_band():
-    # n=9, band [1.5, 7.5]: at the weight-7 point with 0s at 2 and 4, term 0
-    # alone is satisfied, clause (0, 0) alone is falsified, and its
-    # anti-dictator 4 reads 0 and avoids the clause, but setting it reaches
-    # weight 8, above the band; with a third 0 the same cell is a witness
-    inst = MonoInstance.from_parts(
-        9, "no",
-        terms=[[0, 0], [2, 2]],
-        clauses=[[[2, 2], [3, 3]], [[5, 5], [6, 6]]],
-        dictators=[[4, 5], [7, 8]],
-    )
-    top = BitString(9, 0b111101011)
-    assert inst.route(top) == Route.cell(0, 0) and witness_edge_at(inst, top) is None
-    assert witness_edge_at(inst, top.flip_one(8)) is not None
-    drawn = RngStream(3, "top")
-    assert top in [sample_middle_layer(9, 1.5, 7.5, drawn) for _ in range(2000)]
-    fast, slow = RngStream(3, "top"), RngStream(3, "top")
-    est = estimate_witness_density(inst, 2000, fast)
-    assert est == FarnessEstimate.from_hits(_per_point_hits(inst, 2000, slow), 2000, 3)
+# Hand-built n=9 instances (band [1.5, 7.5]), one per branch of the cell
+# checks; each probe is a point of the sample with its route and whether it
+# is a witness.  Terms are [0, 1] and [2, 3] unless a case says otherwise.
+_CELL_CASES = {
+    # {0,1,4,6} falsifies no clause of term 0, {0,1,4} one, {0,1} both
+    "clauses-0-1-2": (
+        dict(terms=[[0, 1], [2, 3]], clauses=[[[4, 5], [6, 7]], [[4, 4], [8, 8]]],
+             dictators=[[8, 2], [0, 1]]),
+        [((0, 1, 4, 6), Route.one(), False), ((0, 1, 4), Route.cell(0, 1), True),
+         ((0, 1), Route.zero(), False)],
+    ),
+    # the anti-dictator of cell (0, 0) is in its clause [4, 4], and that of
+    # cell (0, 1) is one of the two variables of [5, 6]
+    "k-in-its-clause": (
+        dict(terms=[[0, 1], [2, 3]], clauses=[[[4, 4], [5, 6]], [[4, 4], [8, 8]]],
+             dictators=[[4, 6], [0, 1]]),
+        [((0, 1, 5), Route.cell(0, 0), False), ((0, 1, 4), Route.cell(0, 1), False),
+         ((2, 3, 8), Route.cell(1, 0), True)],
+    ),
+    "x_k-already-1": (
+        dict(terms=[[0, 1], [2, 3]], clauses=[[[4, 5], [6, 7]], [[4, 4], [8, 8]]],
+             dictators=[[8, 8], [0, 1]]),
+        [((0, 1, 6, 8), Route.cell(0, 0), False), ((0, 1, 6), Route.cell(0, 0), True)],
+    ),
+    # at the weight-7 point with 0s at 2 and 4, term 0 alone is satisfied,
+    # clause (0, 0) alone is falsified, and its anti-dictator 4 reads 0 and
+    # avoids the clause, but setting it reaches weight 8, above the band
+    "flip-leaves-the-band": (
+        dict(terms=[[0, 0], [2, 2]], clauses=[[[2, 2], [3, 3]], [[5, 5], [6, 6]]],
+             dictators=[[4, 5], [7, 8]]),
+        [((0, 1, 3, 5, 6, 7, 8), Route.cell(0, 0), False),
+         ((0, 1, 3, 5, 6, 7), Route.cell(0, 0), True)],
+    ),
+    # setting x_3 completes term 1 = [2, 3] at the first probe only
+    "k-completes-a-second-term": (
+        dict(terms=[[0, 1], [2, 3]], clauses=[[[4, 5], [6, 7]], [[4, 4], [8, 8]]],
+             dictators=[[3, 2], [0, 1]]),
+        [((0, 1, 2, 6), Route.cell(0, 0), False), ((0, 1, 6), Route.cell(0, 0), True)],
+    ),
+    "k-completes-a-term-of-k-repeated": (
+        dict(terms=[[0, 1], [3, 3]], clauses=[[[4, 5], [6, 7]], [[4, 4], [8, 8]]],
+             dictators=[[3, 2], [0, 1]]),
+        [((0, 1, 6), Route.cell(0, 0), False), ((0, 1, 4), Route.cell(0, 1), True)],
+    ),
+    "N-is-3": (
+        dict(terms=[[0, 1], [2, 3], [4, 5]],
+             clauses=[[[6, 6], [7, 7], [8, 8]], [[0, 0], [1, 1], [8, 8]],
+                      [[0, 0], [1, 1], [2, 2]]],
+             dictators=[[2, 4, 5], [0, 1, 6], [1, 2, 3]]),
+        [((0, 1, 6, 7), Route.cell(0, 2), True), ((0, 1), Route.zero(), False),
+         ((0, 2, 4, 5), Route.cell(2, 1), False)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CELL_CASES))
+def test_estimate_matches_the_per_point_loop_on_hand_built_cells(case):
+    parts, probes = _CELL_CASES[case]
+    inst = MonoInstance.from_parts(9, "no", **parts)
+    fast, slow = RngStream(3, "cells"), RngStream(3, "cells")
+    est = estimate_witness_density(inst, 4000, fast)
+    assert not [key for key in inst._rows if key[0] == "clause_tables"]
+    drawn = RngStream(3, "cells")
+    sample = {sample_middle_layer(9, 1.5, 7.5, drawn) for _ in range(4000)}
+    for ones, route, member in probes:
+        x = BitString.from_indices(9, ones)
+        assert x in sample
+        assert inst.route(x) == route
+        assert (witness_edge_at(inst, x) is not None) == member
+    assert est == FarnessEstimate.from_hits(_per_point_hits(inst, 4000, slow), 4000, 3)
     assert fast._calls == slow._calls
 
 
