@@ -18,6 +18,7 @@ Coordinates are 0-based throughout the Python API; JSON serialization is
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import threading
 from itertools import compress, count
@@ -271,6 +272,14 @@ class IndexSet:
         return cls(int(obj["n"]), [int(i) - 1 for i in obj["members"]])
 
 
+def check_band(n: int, lo: float, hi: float) -> None:
+    """Refuse a weight band ``[lo, hi]`` that holds no weight of ``0..n``,
+    where a sampler that rejects points outside it would never stop.
+    Infinite edges are allowed; a NaN edge holds no weight."""
+    if not (lo <= n and hi >= 0 and math.ceil(max(lo, 0)) <= min(hi, n)):
+        raise ValueError(f"no weight of 0..{n} lies in the band [{lo}, {hi}]")
+
+
 # ---------------------------------------------------------------------------
 # Deterministic randomness
 # ---------------------------------------------------------------------------
@@ -344,16 +353,15 @@ class RngStream:
     are statistically independent.
     """
 
-    __slots__ = ("master_seed", "domain_tag", "_calls", "_prefix", "_hasher")
+    __slots__ = ("master_seed", "domain_tag", "_calls", "_hasher")
 
     def __init__(self, master_seed: int, domain_tag: str = ""):
         self.master_seed = int(master_seed)
         self.domain_tag = domain_tag
         self._calls = 0
-        self._prefix = _path_bytes(self.master_seed, (domain_tag,))
-        self._hasher = None  # BLAKE2b state after the prefix, built on first use
+        self._hasher = hashlib.blake2b(_path_bytes(self.master_seed, (domain_tag,)), digest_size=8)
 
-    # a hash object cannot be pickled: the state drops it, the next draw rebuilds it
+    # a hash object cannot be pickled: the state drops it, __init__ rebuilds it
     def __getstate__(self) -> tuple[int, str, int]:
         return self.master_seed, self.domain_tag, self._calls
 
@@ -364,8 +372,6 @@ class RngStream:
 
     def _word(self, call_index: int, attempt: int) -> int:
         """BLAKE2b of the prefix and the counter, hashing the prefix once."""
-        if self._hasher is None:
-            self._hasher = hashlib.blake2b(self._prefix, digest_size=8)
         h = self._hasher.copy()
         h.update(struct.pack("<qq", call_index, attempt))
         return int.from_bytes(h.digest(), "little")
@@ -387,41 +393,21 @@ class RngStream:
                 return w % upper + 1
             attempt += 1
 
-    def points(self, n: int) -> Iterator[int]:
-        """Bits of successive uniform points of ``{0,1}^n``.
-
-        Makes the draws of :meth:`BitString.random`: one word per 64
-        coordinates, lowest first, masked to its width.  A power-of-two
-        range never rejects, so every word is attempt 0 of its call.  The
-        stream advances only as points are taken.
-        """
-        if n <= 0:
-            raise ValueError(f"dimension must be positive, got {n}")
-        spans = [(off, (1 << min(64, n - off)) - 1) for off in range(0, n, 64)]
-        while True:
-            bits = 0
-            for off, mask in spans:
-                idx = self._calls
-                self._calls += 1
-                bits |= (self._word(idx, 0) & mask) << off
-            yield bits
-
     def band_points(self, n: int, lo: float, hi: float, count: int) -> np.ndarray:
-        """The first ``count`` points of :meth:`points` with weight in ``[lo, hi]``.
+        """The first ``count`` points that successive :meth:`BitString.random`
+        calls draw with weight in ``[lo, hi]``.
 
         Returns a ``(count, ceil(n/64))`` ``uint64`` array, one row per
-        point, lowest word first.  Words are hashed in blocks of as many
-        points as are still needed, so the last block is taken whole and
+        point, lowest word first.  Every word is attempt 0 of its call (a
+        power-of-two range never rejects).  Words are hashed in blocks of as
+        many points as are still needed, so the last block is taken whole and
         the stream is left just after the last point taken.
         """
         if n <= 0:
             raise ValueError(f"dimension must be positive, got {n}")
-        if not any(lo <= w <= hi for w in range(n + 1)):
-            raise ValueError(f"no weight of 0..{n} lies in the band [{lo}, {hi}]")
+        check_band(n, lo, hi)
         words = -(-n // 64)
         masks = np.array([(1 << min(64, n - off)) - 1 for off in range(0, n, 64)], np.uint64)
-        if self._hasher is None:
-            self._hasher = hashlib.blake2b(self._prefix, digest_size=8)
         copy, pack = self._hasher.copy, struct.Struct("<qq").pack
         blocks = [np.empty((0, words), np.uint64)]
         need = count

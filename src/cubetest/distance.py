@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BitString, ResourceLimitError, RngStream
+from .core import BitString, ResourceLimitError, RngStream, check_band
 from .families import (
     MonoInstance, UnateInstance, _bit_masks, _columns, _cube_weights, _first_two, _hits,
 )
@@ -78,16 +78,19 @@ class FarnessEstimate:
         return FarnessEstimate(value, None, 0.0, None)
 
 
-def _dim_of(table: np.ndarray) -> int:
-    n = int(round(math.log2(len(table))))
-    if 1 << n != len(table):
+def _dim_of(table: np.ndarray, n: Optional[int] = None) -> int:
+    """The dimension of a truth table; an explicit ``n`` must match it."""
+    dim = int(round(math.log2(len(table))))
+    if 1 << dim != len(table):
         raise ValueError(f"table length {len(table)} is not a power of two")
-    return n
+    if n is not None and n != dim:
+        raise ValueError(f"table length {len(table)} is not 2**{n}")
+    return dim
 
 
 def count_violating_edges(table: np.ndarray, n: Optional[int] = None) -> int:
     """Number of hypercube edges with value 1 below and 0 above."""
-    n = n if n is not None else _dim_of(table)
+    n = _dim_of(table, n)
     idx = np.arange(1 << n, dtype=np.int64)
     total = 0
     for i in range(n):
@@ -131,7 +134,7 @@ def exact_dist_mono(
     """Distance to monotone: maximum disjoint violating pairs over 2**n."""
     from scipy.sparse import csr_matrix
 
-    n = n if n is not None else _dim_of(table)
+    n = _dim_of(table, n)
     if n > cap:
         raise ResourceLimitError(f"exact distance capped at n={cap}, got {n}")
     rows, cols = _violating_pairs(table, n)
@@ -151,7 +154,7 @@ def exact_dist_unate(
     table: np.ndarray, n: Optional[int] = None, cap: int = UNATE_EXACT_CAP
 ) -> Fraction:
     """Distance to unate: min over orientations of the distance to monotone."""
-    n = n if n is not None else _dim_of(table)
+    n = _dim_of(table, n)
     if n > cap:
         raise ResourceLimitError(f"exact unate distance capped at n={cap}, got {n}")
     idx = np.arange(1 << n, dtype=np.int64)
@@ -170,7 +173,7 @@ def directional_edge_counts(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per direction, the lower endpoints of monotone / anti-monotone
     bi-chromatic edges (lower endpoint = the one with bit i clear)."""
-    n = n if n is not None else _dim_of(table)
+    n = _dim_of(table, n)
     idx = np.arange(1 << n, dtype=np.int64)
     out = []
     for i in range(n):
@@ -192,7 +195,7 @@ def unate_dist_lower_bound(table: np.ndarray, n: Optional[int] = None) -> Fracti
     selection may be suboptimal, so the result is only ever used as a
     lower bound.
     """
-    n = n if n is not None else _dim_of(table)
+    n = _dim_of(table, n)
     if n > EDGE_ENUM_CAP:
         raise ResourceLimitError(f"edge enumeration capped at n={EDGE_ENUM_CAP}")
     sets = directional_edge_counts(table, n)
@@ -311,8 +314,7 @@ def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStrea
     Raises ``ValueError`` when no weight of ``0..n`` lies in the band,
     where the rejection loop would never end.
     """
-    if max(0, math.ceil(band_low)) > min(n, math.floor(band_high)):
-        raise ValueError(f"no weight of 0..{n} lies in the band [{band_low}, {band_high}]")
+    check_band(n, band_low, band_high)
     while True:
         x = BitString.random(n, rng)
         if band_low <= x.weight <= band_high:

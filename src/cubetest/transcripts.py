@@ -145,36 +145,29 @@ class _Transcript:
         self.rho: dict = {}
         self.bad_edge: Optional[EdgeClass] = None
         self.edge_classes: list[Optional[EdgeClass]] = []
-        self._last_coords: tuple = (None, frozenset(), frozenset())
 
     def __len__(self) -> int:
         return len(self.queries)
 
-    def _coords(self, x: BitString) -> tuple[frozenset[int], frozenset[int]]:
-        """The ones and the zeros of the query ``x``.  A classifier and
-        then ``extend`` take the same query, so the last answer is kept."""
-        if self._last_coords[0] != x:
-            self._last_coords = (x, frozenset(x.one_indices()), frozenset(x.zero_indices()))
-        return self._last_coords[1:]
-
     def _track(self, P: dict, R: dict, A1: dict, A0: dict, keys: Iterable,
-               outside: Callable, ones: frozenset[int], zeros: frozenset[int]) -> list:
-        """Add the newest query to ``P`` of each of ``keys`` (the terms or
-        cells it is a member of) and narrow their ``A1``/``A0`` to its
-        ``ones``/``zeros``; a new key's ``R`` starts with the earlier queries
-        that ``outside(sig, key)`` puts outside it.  Returns the new keys."""
+               outside: Callable, x: BitString) -> list:
+        """Add the newest query ``x`` to ``P`` of each of ``keys`` (the terms
+        or cells it is a member of) and narrow their ``A1``/``A0`` to its
+        ones/zeros; a new key's ``R`` starts with the earlier queries that
+        ``outside(sig, key)`` puts outside it.  Returns the new keys."""
         qidx = len(self.queries) - 1
+        b = x.bits
         new = []
         for key in keys:
             if key in P:
                 P[key].append(qidx)
-                A1[key] &= ones
-                A0[key] &= zeros
+                A1[key] = {v for v in A1[key] if b >> v & 1}
+                A0[key] = {v for v in A0[key] if not b >> v & 1}
             else:
                 new.append(key)
                 P[key] = [qidx]
-                A1[key] = set(ones)
-                A0[key] = set(zeros)
+                A1[key] = set(x.one_indices())
+                A0[key] = set(x.zero_indices())
                 R[key] = [q for q, (_, s) in enumerate(self.queries[:qidx]) if outside(s, key)]
         return new
 
@@ -186,8 +179,7 @@ class _Transcript:
         if not isinstance(sig, sig_type):
             raise ValueError(f"expected a {sig_type.__name__}, got {type(sig).__name__}")
         self.queries.append((x, sig))
-        new = self._track(self.P, self.R, self.A1, self.A0, sig.term.members(), _outside_term,
-                          *self._coords(x))
+        new = self._track(self.P, self.R, self.A1, self.A0, sig.term.members(), _outside_term, x)
         self.I.update(new)
         qidx = len(self.queries) - 1
         for i in self.I:
@@ -247,8 +239,7 @@ class MonoTranscript(_Transcript):
         i = sig.term.first
         qidx = len(self.queries) - 1
         cells = [(i, j) for j in sig.clause.zero_members()]
-        for _, j in self._track(self.Pij, self.Rij, self.Aij1, self.Aij0, cells, _outside_cell,
-                                *self._coords(x)):
+        for _, j in self._track(self.Pij, self.Rij, self.Aij1, self.Aij0, cells, _outside_cell, x):
             self.J[i].add(j)
         for j in self.J[i]:
             if sig.clause.entry(j) == 1:
@@ -389,11 +380,11 @@ def classify_mono_edge(
     """
     if t.bad_edge is not None:
         return EdgeClass()
-    ones, zeros = t._coords(x)
+    b = x.bits
     found: list[EdgeClass] = []
 
     for i in sorted(set(sig.term.members()) & t.I):
-        if len(t.A1[i] - ones) >= cfg.mono_drop:
+        if sum(not b >> v & 1 for v in t.A1[i]) >= cfg.mono_drop:
             found.append(EdgeClass("E1", i))
             break
     cells: list[tuple[int, int]] = []
@@ -401,7 +392,7 @@ def classify_mono_edge(
         i = sig.term.first
         cells = [(i, j) for j in sig.clause.zero_members() if (i, j) in t.Pij]
     for (i, j) in cells:
-        if len(t.Aij0[(i, j)] - zeros) >= cfg.mono_drop:
+        if sum(b >> v & 1 for v in t.Aij0[(i, j)]) >= cfg.mono_drop:
             found.append(EdgeClass("E2", i, j))
             break
     kinds = {e.kind for e in found}
@@ -599,9 +590,9 @@ def classify_unate_edge(
     """
     if t.bad_edge is not None:
         return EdgeClass()
-    ones, zeros = t._coords(x)
+    b = x.bits
     for i in sorted(set(sig.term.members()) & t.I_S):
-        drop = len(t.A1[i] - ones) + len(t.A0[i] - zeros)
+        drop = sum(not b >> v & 1 for v in t.A1[i]) + sum(b >> v & 1 for v in t.A0[i])
         if drop >= cfg.unate_drop:
             return EdgeClass("E1", i)
     probe = t.snapshot()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import strategies as st
 
@@ -10,6 +12,14 @@ from cubetest.families import (
     OneLevelInstance,
     UnateInstance,
 )
+
+# (n, lo, hi) weight bands at the edge of what both band samplers refuse:
+# empty ones, ones with a NaN edge (which hold no weight) and ones with an
+# infinite edge (which hold some)
+BANDS = [
+    (16, 3.2, 3.8), (16, 17, 20), (16, -3, -0.5), (16, 5, 4), (4, 3, 2),
+    (16, -math.inf, 8), (16, 8, math.inf), (16, math.nan, 8), (16, 8, math.nan),
+]
 
 
 def make_handbuilt_mono(world: str = "no") -> MonoInstance:

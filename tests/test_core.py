@@ -5,7 +5,6 @@ import hashlib
 import math
 import pickle
 import threading
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,6 +20,9 @@ from cubetest.core import (
     derive_generator,
     derive_key,
 )
+from cubetest.distance import sample_middle_layer
+
+from conftest import BANDS
 
 
 class TestFlipSet:
@@ -185,8 +187,11 @@ class TestRngStream:
         assert [s.draw(2**64) for _ in range(2)] == [531225418509381289, 8209200834534633894]
 
     def test_drawn_stream_copies_and_pickles_to_its_continuation(self):
+        never = RngStream(7, "pin")  # copied before any draw
         s = RngStream(7, "pin")
-        head = [s.draw(1000) for _ in range(5)]  # the prefix state now exists
+        head = [s.draw(1000) for _ in range(5)]
+        for c in (copy.copy(never), pickle.loads(pickle.dumps(never))):
+            assert [c.draw(1000) for _ in range(5)] == head
         clones = [copy.copy(s), pickle.loads(pickle.dumps(s))]
         tail = [s.draw(1000) for _ in range(20)]
         for c in clones:
@@ -202,26 +207,6 @@ class TestRngStream:
             got[n] = self._digest([BitString.random(n, s).bits for _ in range(20)])
         assert got == self.POINT_DIGESTS
 
-    @pytest.mark.parametrize("n", [1, 15, 16, 63, 64, 65, 100, 128, 129])
-    def test_points_twin_random_points(self, n):
-        fast, slow = RngStream(7, "points"), RngStream(7, "points")
-        got = list(islice(fast.points(n), 25))
-        assert got == [BitString.random(n, slow).bits for _ in range(25)]
-        assert fast._calls == slow._calls == 25 * -(-n // 64)
-        assert fast.draw(1000) == slow.draw(1000)
-
-    def test_points_draw_only_as_taken(self):
-        s, twin = RngStream(7, "points"), RngStream(7, "points")
-        gen = s.points(65)
-        assert s._calls == 0
-        assert next(gen) == BitString.random(65, twin).bits
-        assert s._calls == 2
-        assert s.draw(10) == twin.draw(10)  # a draw in between moves the points on
-        assert next(gen) == BitString.random(65, twin).bits
-        assert s._calls == twin._calls == 5
-        with pytest.raises(ValueError, match="positive"):
-            next(RngStream(7).points(0))
-
     # count 1, and counts at which the one-weight band leaves the first block
     # short, so the sampler hashes later blocks of the points still needed
     @pytest.mark.parametrize("count", [1, 40, 300])
@@ -233,7 +218,7 @@ class TestRngStream:
             lo, hi = 0, n
         fast, slow = RngStream(7, "band"), RngStream(7, "band")
         got = fast.band_points(n, lo, hi, count)
-        want = list(islice((b for b in slow.points(n) if lo <= b.bit_count() <= hi), count))
+        want = [sample_middle_layer(n, lo, hi, slow).bits for _ in range(count)]
         words = -(-n // 64)
         assert got.dtype == np.uint64 and got.shape == (count, words)
         assert [sum(int(v) << 64 * w for w, v in enumerate(row)) for row in got] == want
@@ -242,7 +227,7 @@ class TestRngStream:
 
     def test_band_points_stream_copies_and_pickles_to_its_continuation(self):
         s = RngStream(7, "band")
-        head = s.band_points(65, 30, 35, 50)  # the prefix state now exists
+        head = s.band_points(65, 30, 35, 50)
         clones = [copy.copy(s), pickle.loads(pickle.dumps(s))]
         calls = s._calls
         tail = s.band_points(65, 30, 35, 50)
@@ -253,9 +238,16 @@ class TestRngStream:
         assert np.array_equal(fresh.band_points(65, 30, 35, 100), np.concatenate([head, tail]))
         with pytest.raises(ValueError, match="positive"):
             RngStream(7).band_points(0, 0, 0, 1)
-        for lo, hi in ((3.2, 3.8), (17, 20), (5, 4)):  # no weight to accept: refused, not an endless loop
+
+    @pytest.mark.parametrize("n, lo, hi", BANDS)
+    def test_band_points_refuses_an_empty_band(self, n, lo, hi):
+        # a band with no weight to accept is refused, not an endless loop
+        if any(lo <= w <= hi for w in range(n + 1)):
+            (bits,) = RngStream(7).band_points(n, lo, hi, 1)[:, 0].tolist()
+            assert lo <= bits.bit_count() <= hi
+        else:
             with pytest.raises(ValueError, match="no weight"):
-                RngStream(7).band_points(16, lo, hi, 1)
+                RngStream(7).band_points(n, lo, hi, 1)
 
     def test_uniformity_chi_square(self):
         # frequency of each value over 1e6 draws with range 16 within 5

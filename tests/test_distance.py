@@ -33,6 +33,8 @@ from cubetest.distance import (
 )
 from cubetest.families import QuadrantInstance, MonoInstance, Route, UnateInstance
 
+from conftest import BANDS
+
 
 def _digest(blob: bytes) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
@@ -118,6 +120,20 @@ def test_scipy_is_loaded_on_the_first_exact_distance_call():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["3/8", "1/8", "True"]
+
+
+@pytest.mark.parametrize("table_fn", [
+    count_violating_edges, directional_edge_counts, unate_dist_lower_bound,
+    exact_dist_mono, exact_dist_unate,
+])
+def test_table_functions_refuse_a_wrong_dimension(table_fn):
+    # an n=16 table read as n=9 once counted 0 violating edges, and as
+    # n=17 indexed past its end
+    table = MonoInstance.sample(16, "no", 3).truth_table()
+    for n in (9, 15, 17):
+        with pytest.raises(ValueError, match=r"not 2\*\*"):
+            table_fn(table, n)
+    assert count_violating_edges(table, 16) == count_violating_edges(table) == 858
 
 
 class TestExactDistUnate:
@@ -328,11 +344,14 @@ class TestFarnessEstimate:
             1.96 * (0.25 * 0.75 / 1000) ** 0.5
         )
 
-    @pytest.mark.parametrize("n, lo, hi", [(16, 3.2, 3.8), (16, 17, 20), (16, -3, -0.5), (4, 3, 2)])
+    @pytest.mark.parametrize("n, lo, hi", BANDS)
     def test_middle_layer_sampler_refuses_an_empty_band(self, n, lo, hi):
         # the rejection loop would never end on a band with no integer weight
-        with pytest.raises(ValueError, match="no weight"):
-            sample_middle_layer(n, lo, hi, RngStream(1))
+        if any(lo <= w <= hi for w in range(n + 1)):
+            assert lo <= sample_middle_layer(n, lo, hi, RngStream(1)).weight <= hi
+        else:
+            with pytest.raises(ValueError, match="no weight"):
+                sample_middle_layer(n, lo, hi, RngStream(1))
 
     def test_middle_layer_sampler_takes_a_one_weight_band(self):
         x = sample_middle_layer(16, 3.2, 4.0, RngStream(1))

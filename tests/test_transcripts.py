@@ -505,3 +505,52 @@ class TestPinnedDumps:
             h.update(oracle.transcript.dump_jsonl().encode())
         assert breaches > 0
         assert h.hexdigest() == "ec53c1df02b1fb3fb30187a386f8d8b2"
+
+
+class TestPinnedEdgeClasses:
+    """Pinned blake2b digests of every edge class the classifiers give on
+    seeded n=16 transcripts, past the first bad edge too (``bad_edge`` is
+    never set).  The thresholds are low enough that E1, E2 and E3 fire, so
+    the drop counts of ``A1`` / ``A0`` / ``Aij0`` are pinned as well."""
+
+    def test_mono_edge_classes(self):
+        h = hashlib.blake2b(digest_size=16)
+        kinds = set()
+        for seed in range(8):
+            inst = MonoInstance.sample(16, "no", seed=seed)
+            rng = RngStream(seed, "pinned-mono-edges")
+            cfg = ClassifierConfig(16, mono_drop=3)
+            t = MonoTranscript(16)
+            x = random_middle(inst, rng)
+            for _ in range(50):
+                # a walk that flips up to 4 coordinates a step revisits cells
+                y = x.flip(rng.sample_without_replacement(range(16), rng.draw(4)))
+                if inst.weight_class(y) == "middle":
+                    x = y
+                sig = mono_full_signature(inst, x)
+                edge = classify_mono_edge(t, x, sig, cfg)
+                kinds.update(edge.ambiguous or (edge.kind,))
+                h.update(repr(edge).encode())
+                t.extend(x, sig)
+        assert {"E1", "E2", "E3"} <= kinds
+        assert h.hexdigest() == "8c07729c0ae921db5014e58d82b23c85"
+
+    def test_unate_edge_classes(self):
+        h = hashlib.blake2b(digest_size=16)
+        kinds = set()
+        for seed in range(6):
+            inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            oracle = UnateSignatureOracle(inst)
+            rng = RngStream(seed, "pinned-unate-edges")
+            cfg = ClassifierConfig(16, unate_drop=4, breach_cap=2)
+            for _ in range(40):
+                x = BitString.random(16, rng)
+                try:
+                    edge = oracle.classify_next(x, cfg)
+                except OutOfBandError:
+                    continue
+                kinds.add(edge.kind)
+                h.update(repr(edge).encode())
+                oracle.query(x)
+        assert {"E1", "E2", "E3"} <= kinds
+        assert h.hexdigest() == "ec8d15d0248f6b357a990ae2e94026e0"
