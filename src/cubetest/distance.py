@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import BitString, ResourceLimitError, RngStream, check_band
 from .families import (
-    MonoInstance, UnateInstance, _bit_masks, _columns, _cube_weights, _first_two, _hits,
+    MonoInstance, UnateInstance, _columns, _cube_weights, _hits,
 )
 
 __all__ = [
@@ -253,23 +253,13 @@ def witness_edge_at(
     r = inst.route(x)
     if r.kind != "cell":
         return None
-    return _cell_witness(inst, x, r.i, r.j)
-
-
-def _cell_witness(
-    inst: MonoInstance, x: BitString, i: int, j: int
-) -> Optional[tuple[BitString, BitString]]:
-    """The witness edge of a middle-layer ``x`` that routes to cell (i, j)."""
-    k = int(inst.dict_row(i)[j])
-    if x[k] != 0:  # anti-dictator reads 0 here, so f(x) = 0
-        return None
-    if k in inst.clause_block(i)[j]:
+    k = int(inst.dict_row(r.i)[r.j])
+    # where x_k = 1 the anti-dictator reads 0, so f(x) = 0; k must avoid the clause
+    if x[k] != 0 or k in inst.clause_block(r.i)[r.j]:
         return None
     xstar = x.flip_one(k)
     # at the top weight of the band x^(k) leaves it and reads 1
-    if inst.weight_class(xstar) != "middle":
-        return None
-    if inst.satisfied_terms(xstar) != [i]:
+    if inst.weight_class(xstar) != "middle" or inst.satisfied_terms(xstar) != [r.i]:
         return None
     return (x, xstar)
 
@@ -283,18 +273,12 @@ def middle_layer_indices(n: int, band_low: float, band_high: float) -> np.ndarra
 
 
 def _witness_scan(inst: MonoInstance) -> tuple[int, list[tuple[BitString, BitString]]]:
-    """Vectorized exhaustive scan of the witness set over the middle layers."""
+    """Exhaustive scan of the witness set over the middle layers."""
     _require_witness_instance(inst)
-    mid = middle_layer_indices(inst.n, inst.band_low, inst.band_high)
-    count, first = _first_two(mid, _bit_masks(inst._terms))
-    members: list[tuple[BitString, BitString]] = []
-    for i, rows, fcount, js in inst._unique_term_cells(mid, first, count == 1):
-        pick = fcount == 1
-        for row, j in zip(rows[pick], js[pick]):
-            edge = _cell_witness(inst, BitString(inst.n, int(mid[row])), i, int(j))
-            if edge is not None:
-                members.append(edge)
-    return len(mid), members
+    n = inst.n
+    mid = middle_layer_indices(n, inst.band_low, inst.band_high)
+    members = _witness_members(inst, mid.view(np.uint64)[:, None])
+    return len(mid), [(BitString(n, b), BitString(n, b | 1 << k)) for b, k in members]
 
 
 def witness_edge_family(inst: MonoInstance) -> list[tuple[BitString, BitString]]:
@@ -341,30 +325,23 @@ def _set_bits(u: int, size: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
 
 
-def estimate_witness_density(
-    inst: MonoInstance, samples: int, rng: RngStream | None = None
-) -> FarnessEstimate:
-    """Monte-Carlo witness-membership probability over middle-layer points.
+def _witness_members(inst: MonoInstance, block: np.ndarray) -> list[tuple[int, int]]:
+    """The witness set of a ``band_points`` block of middle-layer points.
 
-    Counts the ``samples`` points of ``sample_middle_layer`` that have a
-    ``witness_edge_at``, and leaves ``rng`` where that loop leaves it.  The
-    sample is drawn in one block by :meth:`RngStream.band_points`, and the
-    term level of the multiplexer is bitsliced over it: one bitset over
-    the sample per variable, ANDed per term.  The points that satisfy
-    exactly one term ``i`` meet its clause block as one array: their
-    0-coordinates packed 8 points to a byte, ANDed over the variables of
-    each clause, give per clause the points that falsify it.  The cell
-    checks of ``witness_edge_at`` run as masks over the points that
-    falsify exactly one clause, and the few that pass them all go through
-    the last check, that no other term holds after the flip, on ints.
+    Returns, in term order and ascending row within a term, the integer
+    bits of each member and its anti-dictator ``k``: the edge is
+    ``(bits, bits | 1 << k)``.  The term level of the multiplexer is
+    bitsliced over the block: one bitset over its rows per variable, ANDed
+    per term.  The points that satisfy exactly one term ``i`` meet its
+    clause block as one array: their 0-coordinates packed 8 points to a
+    byte, ANDed over the variables of each clause, give per clause the
+    points that falsify it.  The cell checks of ``witness_edge_at`` run as
+    masks over the points that falsify exactly one clause, and the few
+    that pass them all go through the last check, that no other term
+    holds after the flip, on ints.
     """
-    if samples <= 0:
-        raise ValueError(f"samples must be positive, got {samples}")
-    _require_witness_instance(inst)
-    rng = rng or RngStream(0, "witness-estimate")
-    n, hi = inst.n, inst.band_high
-    block = rng.band_points(n, inst.band_low, hi, samples)
-    rows = _point_rows(block, n)
+    count, hi = len(block), inst.band_high
+    rows = _point_rows(block, inst.n)
     cols = _columns(rows)
     terms = inst._terms.tolist()
 
@@ -373,17 +350,17 @@ def estimate_witness_density(
 
     one = two = 0  # the points that satisfy at least one, at least two terms
     for term in terms:
-        sat = satisfying(term, (1 << samples) - 1)
+        sat = satisfying(term, (1 << count) - 1)
         two |= one & sat
         one |= sat
     once = one & ~two
-    picked: list[int] = []  # the sample index of each point that passes the cell checks
+    picked: list[int] = []  # the row of each point that passes the cell checks
     cells: list[tuple[int, int]] = []  # and its term and anti-dictator
     for i, term in enumerate(terms):
         mine = satisfying(term, once)
         if not mine:
             continue
-        at = _set_bits(mine, samples)
+        at = _set_bits(mine, count)
         x = rows[at]
         blk = inst.clause_block(i)
         # zeros[b, v] packs whether points 8b .. 8b + 7 read 0 at v, and
@@ -399,8 +376,26 @@ def estimate_witness_density(
                 & (x[p].sum(axis=1) + 1 <= hi))
         picked += at[p[keep]].tolist()
         cells += zip(repeat(i), k[keep].tolist())
-    hits = sum(_hits(b | 1 << k, inst._term_tables) == [i]
-               for b, (i, k) in zip(_point_ints(block[picked]), cells))
+    return [(b, k) for b, (i, k) in zip(_point_ints(block[picked]), cells)
+            if _hits(b | 1 << k, inst._term_tables) == [i]]
+
+
+def estimate_witness_density(
+    inst: MonoInstance, samples: int, rng: RngStream | None = None
+) -> FarnessEstimate:
+    """Monte-Carlo witness-membership probability over middle-layer points.
+
+    Counts the ``samples`` points of ``sample_middle_layer`` that have a
+    ``witness_edge_at``, and leaves ``rng`` where that loop leaves it.  The
+    sample is drawn in one block by :meth:`RngStream.band_points` and goes
+    through the same array pass as the exhaustive scans.
+    """
+    if samples <= 0:
+        raise ValueError(f"samples must be positive, got {samples}")
+    _require_witness_instance(inst)
+    rng = rng or RngStream(0, "witness-estimate")
+    block = rng.band_points(inst.n, inst.band_low, inst.band_high, samples)
+    hits = len(_witness_members(inst, block))
     return FarnessEstimate.from_hits(hits, samples, seed=rng.master_seed)
 
 

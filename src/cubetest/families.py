@@ -481,27 +481,16 @@ class MonoInstance:
         mid = (w >= self.band_low) & (w <= self.band_high)
         count, first = _first_two(points, _bit_masks(self._terms))
         table[mid & (count >= 2)] = 1
-        for i, rows, fcount, js in self._unique_term_cells(points, first, mid & (count == 1)):
+        unique = mid & (count == 1)
+        for i in np.unique(first[unique]).tolist():
+            rows = np.flatnonzero(unique & (first == i))  # here a row is its own point
+            fcount, js = _first_two(~rows, _bit_masks(self.clause_block(i)))
             table[rows[fcount == 0]] = 1
             pick = fcount == 1
-            rr = rows[pick]  # here a row is its own point
+            rr = rows[pick]
             vals = (rr >> self.dict_row(i)[js[pick]]) & 1
             table[rr] = 1 - vals if self.negated else vals
         return table
-
-    def _unique_term_cells(self, points: np.ndarray, first: np.ndarray, unique: np.ndarray):
-        """Clause scan of the integer ``points`` that satisfy exactly one term.
-
-        ``unique`` selects those points and ``first`` holds their term.
-        Yields, per term ``i``: their positions in ``points``, how many
-        clauses of row ``i`` each one falsifies (capped at 2), and the first
-        falsified clause (meaningful where that count is positive).
-        """
-        for i in np.unique(first[unique]):
-            i = int(i)
-            rows = np.flatnonzero(unique & (first == i))
-            fcount, js = _first_two(~points[rows], _bit_masks(self.clause_block(i)))
-            yield i, rows, fcount, js
 
     # -- serialization --------------------------------------------------------
 
@@ -528,8 +517,11 @@ class MonoInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "MonoInstance":
         if obj["storage"] == "lazy":
+            seed = obj["seed"]
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ValueError(f"a lazy instance file needs an integer seed, got {seed!r}")
             return cls.sample(
-                obj["n"], obj["world"], obj["seed"], term_len=obj.get("term_len")
+                obj["n"], obj["world"], seed, term_len=obj.get("term_len")
             )
         parts = (np.asarray(obj[k], dtype=np.int32) - 1 for k in ("terms", "clauses", "dictators"))
         return cls.from_parts(obj["n"], obj["world"], *parts, seed=obj.get("seed"))
@@ -663,6 +655,15 @@ def _complement(n: int, members: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~inside)
 
 
+def _check_bits(name: str, bits: Sequence[int] | None, size: int) -> np.ndarray:
+    """``bits`` as ``size`` values of 0 or 1 (all 0 when ``None``); a value
+    that numpy would broadcast over the size or cast to a bit is refused."""
+    a = np.zeros(size, np.uint8) if bits is None else np.asarray(bits)
+    if a.shape != (size,) or not np.isin(a, (0, 1)).all():
+        raise ValueError(f"{name} must be {size} values of 0 or 1, got {bits!r}")
+    return a
+
+
 def _term_masks(n: int, terms: Sequence[Iterable[int]]) -> np.ndarray:
     masks = np.zeros((len(terms), n), dtype=bool)
     for i, t in enumerate(terms):
@@ -794,8 +795,8 @@ class UnateInstance:
         if np.isin(dv, m_sorted).any():
             raise ValueError("dictator variables must lie outside M")
         neg = np.asarray([bool(d[1]) for d in dictators], dtype=bool)
-        rb = np.zeros(half, np.uint8) if r_bits is None else np.asarray(r_bits)
-        sb = np.zeros(n - half, np.uint8) if s_bits is None else np.asarray(s_bits)
+        rb = _check_bits("r_bits", r_bits, half)
+        sb = _check_bits("s_bits", s_bits, n - half)
         return cls._oriented(
             n, world, m_sorted, _term_masks(n, terms), dv, neg, rb, sb, seed
         )
@@ -894,6 +895,9 @@ class UnateInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "UnateInstance":
+        for d in obj["dictators"]:
+            if not isinstance(d["negated"], bool):
+                raise ValueError(f"dictator negated must be true or false, got {d['negated']!r}")
         return cls.from_parts(
             obj["n"],
             obj["world"],

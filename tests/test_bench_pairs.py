@@ -2,7 +2,9 @@
 
 The report must keep the shape of the checked-in ``BENCH_transcript.json``,
 and a pair whose digests differ must stop the script.  Both are checked on
-canned ``perfbench/run.py`` output, without starting a benchmark.
+canned ``perfbench/run.py`` output, without starting a benchmark.  Every
+checked-in ``BENCH_*.json`` must recompute, from its own runs, to the
+summary it stores.
 """
 
 from __future__ import annotations
@@ -103,3 +105,24 @@ def test_output_without_a_summary_line_is_refused():
 @pytest.mark.parametrize("text, seeds", [("11-20", list(range(11, 21))), ("3", [3])])
 def test_seed_range(text, seeds):
     assert bench_pairs.seed_range(text) == seeds
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_checked_in_reports_match_their_own_runs(path):
+    # a hand-edited summary must not pass for evidence; the medians are
+    # compared, not the quartiles, which older reports computed another way
+    report = json.loads(path.read_text())
+    summary = bench_pairs.summarise(report["runs"], METRICS)
+    assert summary.keys() == report["summary"].keys()
+    for workload, got in summary.items():
+        stored = report["summary"][workload]
+        for m in METRICS:
+            name = m["name"]
+            for side in ("parent", "change"):
+                assert stored[name][side]["median"] == got[name][side]["median"], (workload, name)
+            for key in ("change_better_pairs", "pairs"):
+                assert stored[name][key] == got[name][key], (workload, name, key)
+        assert got["digests_equal_every_pair"], workload
+        assert got["failed_ops"] == {"parent": 0, "change": 0}, workload
+        for key in ("digests_equal_every_pair", "failed_ops"):  # absent from older reports
+            assert stored.get(key, got[key]) == got[key], (workload, key)

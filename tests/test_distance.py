@@ -243,15 +243,11 @@ class TestWitnessEdges:
 
     def test_witness_edges_violate_at_band_top(self):
         # this instance has a cell witness candidate x at the top weight of
-        # the band (10); its flip x^(k) leaves the band and reads 1
+        # the band (10); its flip x^(k) leaves the band and reads 1, so the
+        # scan and its per-point twin must both leave x out
         inst = MonoInstance.sample(14, "no", seed=9150456756868688970, term_len=4)
         table = inst.truth_table()
-        top = math.floor(inst.band_high)
-        edges = witness_edge_family(inst) + [
-            edge
-            for bits in middle_layer_indices(14, top, top)
-            if (edge := witness_edge_at(inst, BitString(14, int(bits)))) is not None
-        ]
+        edges = _assert_scan_matches_the_per_point_twin(inst)
         for x, xs in edges:
             assert table[x.bits] == 1 and table[xs.bits] == 0
 
@@ -415,6 +411,19 @@ def test_cube_scans_pinned():
     assert stats == UNATE_STATS_DIGESTS
 
 
+def _assert_scan_matches_the_per_point_twin(inst: MonoInstance) -> list:
+    """The cube scan's edges are those of ``witness_edge_at`` over the whole
+    middle layer, each once."""
+    fam = witness_edge_family(inst)
+    twin = [
+        edge
+        for bits in middle_layer_indices(inst.n, inst.band_low, inst.band_high)
+        if (edge := witness_edge_at(inst, BitString(inst.n, int(bits)))) is not None
+    ]
+    assert len(fam) == len(twin) and set(fam) == set(twin)
+    return fam
+
+
 def _per_point_hits(inst: MonoInstance, samples: int, rng: RngStream) -> int:
     """Slow twin of the estimator: one point and one multiplexer walk at a time."""
     return sum(
@@ -512,6 +521,8 @@ def test_estimate_matches_the_per_point_loop_on_hand_built_cells(case):
         assert (witness_edge_at(inst, x) is not None) == member
     assert est == FarnessEstimate.from_hits(_per_point_hits(inst, 4000, slow), 4000, 3)
     assert fast._calls == slow._calls
+    assert (inst.band_low, inst.band_high) == (1.5, 7.5)
+    _assert_scan_matches_the_per_point_twin(inst)
 
 
 # recorded with the per-point estimator: estimate_witness_density of

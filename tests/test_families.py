@@ -491,6 +491,41 @@ def test_out_of_range_index_rejected(family, world, put, bad, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+# (family, world, where the malformed value goes, the value, the error's field)
+_MALFORMED_CASES = {
+    # numpy used to broadcast one bit over all of M or Mbar
+    "unate-r_bits-short": ("unate", "no", _set("r_bits"), [1], "r_bits"),
+    "unate-s_bits-short": ("unate", "yes", _set("s_bits"), [0], "s_bits"),
+    # any nonzero bit used to read as 1
+    "unate-r_bits-2": ("unate", "yes", _set("r_bits", 2), 2, "r_bits"),
+    "unate-s_bits-minus-1": ("unate", "no", _set("s_bits", 5), -1, "s_bits"),
+    # the string "false" used to read as True: a yes-world file was refused
+    # as having a negated dictator, and a no-world file loaded it as negated
+    "unate-negated-yes": ("unate", "yes", _set("dictators", 0, "negated"), "false", "negated"),
+    "unate-negated-no": ("unate", "no", _set("dictators", 1, "negated"), "false", "negated"),
+    # a lazy two-level file with a non-integer seed used to crash with a TypeError
+    "mono-seed-null": ("mono", "no", _set("seed"), None, "seed"),
+    "mono-seed-string": ("mono", "yes", _set("seed"), "7", "seed"),
+    "mono-seed-bool": ("mono", "no", _set("seed"), True, "seed"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, world, put, bad, field", _MALFORMED_CASES.values(), ids=_MALFORMED_CASES.keys()
+)
+def test_malformed_field_rejected(family, world, put, bad, field, tmp_path, capsys):
+    obj = sample_instance(family, 16, world, seed=3).to_json()
+    assert instance_from_json(obj) is not None
+    put(obj, bad)
+    with pytest.raises(ValueError, match=field):
+        instance_from_json(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["eval", "--instance", str(path), "--random", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 # blake2b digests of truth_table() as the one-level and unateness families
 # computed it when each had its own implementation; they pin the shared
 # single-level core's output bit for bit
