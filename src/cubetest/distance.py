@@ -22,16 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
-from operator import and_
 from typing import Optional
 
 import numpy as np
 
 from .core import BitString, ResourceLimitError, RngStream, check_band
 from .families import (
-    MonoInstance, UnateInstance, _columns, _cube_weights, _hits,
+    MonoInstance, UnateInstance, _band_bits, _cube_weights, _hits,
 )
 
 __all__ = [
@@ -266,8 +264,6 @@ def witness_edge_at(
 
 def middle_layer_indices(n: int, band_low: float, band_high: float) -> np.ndarray:
     """Indices of all points with weight inside the band (ascending)."""
-    if n > 20:
-        raise ResourceLimitError("middle-layer enumeration capped at n=20")
     w = _cube_weights(n)
     return np.flatnonzero((w >= band_low) & (w <= band_high))
 
@@ -276,9 +272,9 @@ def _witness_scan(inst: MonoInstance) -> tuple[int, list[tuple[BitString, BitStr
     """Exhaustive scan of the witness set over the middle layers."""
     _require_witness_instance(inst)
     n = inst.n
-    mid = middle_layer_indices(n, inst.band_low, inst.band_high)
-    members = _witness_members(inst, mid.view(np.uint64)[:, None])
-    return len(mid), [(BitString(n, b), BitString(n, b | 1 << k)) for b, k in members]
+    _, mid = _band_bits(_cube_weights(n), inst.band_low, inst.band_high)
+    members = _witness_members(inst, mid)
+    return mid.bit_count(), [(BitString(n, b), BitString(n, b | 1 << k)) for b, k in members]
 
 
 def witness_edge_family(inst: MonoInstance) -> list[tuple[BitString, BitString]]:
@@ -305,12 +301,6 @@ def sample_middle_layer(n: int, band_low: float, band_high: float, rng: RngStrea
             return x
 
 
-def _point_rows(points: np.ndarray, n: int) -> np.ndarray:
-    """The 0/1 ``(count, n)`` matrix of a :meth:`RngStream.band_points` block."""
-    raw = points.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
-
-
 def _point_ints(points: np.ndarray) -> list[int]:
     """The ``BitString.bits`` integer of each row of a ``band_points`` block."""
     ints = points[:, 0].tolist()
@@ -319,64 +309,30 @@ def _point_ints(points: np.ndarray) -> list[int]:
     return ints
 
 
-def _set_bits(u: int, size: int) -> np.ndarray:
-    """Positions of the set bits of a ``size``-bit integer, ascending."""
-    raw = u.to_bytes((size + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
-
-
-def _witness_members(inst: MonoInstance, block: np.ndarray) -> list[tuple[int, int]]:
-    """The witness set of a ``band_points`` block of middle-layer points.
-
-    Returns, in term order and ascending row within a term, the integer
-    bits of each member and its anti-dictator ``k``: the edge is
-    ``(bits, bits | 1 << k)``.  The term level of the multiplexer is
-    bitsliced over the block: one bitset over its rows per variable, ANDed
-    per term.  The points that satisfy exactly one term ``i`` meet its
-    clause block as one array: their 0-coordinates packed 8 points to a
-    byte, ANDed over the variables of each clause, give per clause the
-    points that falsify it.  The cell checks of ``witness_edge_at`` run as
-    masks over the points that falsify exactly one clause, and the few
-    that pass them all go through the last check, that no other term
-    holds after the flip, on ints.
-    """
-    count, hi = len(block), inst.band_high
-    rows = _point_rows(block, inst.n)
-    cols = _columns(rows)
-    terms = inst._terms.tolist()
-
-    def satisfying(term: list[int], among: int) -> int:
-        return reduce(and_, map(cols.__getitem__, term), among)
-
-    one = two = 0  # the points that satisfy at least one, at least two terms
-    for term in terms:
-        sat = satisfying(term, (1 << count) - 1)
-        two |= one & sat
-        one |= sat
-    once = one & ~two
-    picked: list[int] = []  # the row of each point that passes the cell checks
+def _witness_members(
+    inst: MonoInstance, among: int, block: np.ndarray | None = None
+) -> list[tuple[int, int]]:
+    """The witness set of the middle-layer points ``among`` of a block (see
+    :meth:`MonoInstance._route_block`): in term order and ascending point
+    within a term, the integer bits of each member and its anti-dictator
+    ``k``, the edge being ``(bits, bits | 1 << k)``.  The cell checks of
+    ``witness_edge_at`` run as masks over the points that falsify exactly
+    one clause; the few that pass them all go through the last check, that
+    no other term holds after the flip, on ints."""
+    picked: list[int] = []  # the position of each point that passes the cell checks
     cells: list[tuple[int, int]] = []  # and its term and anti-dictator
-    for i, term in enumerate(terms):
-        mine = satisfying(term, once)
-        if not mine:
-            continue
-        at = _set_bits(mine, count)
-        x = rows[at]
-        blk = inst.clause_block(i)
-        # zeros[b, v] packs whether points 8b .. 8b + 7 read 0 at v, and
-        # fals[p, j] is 1 when point p falsifies clause j
-        zeros = np.packbits(x ^ 1, axis=0)
-        fals = np.unpackbits(np.bitwise_and.reduce(zeros[:, blk], axis=2), axis=0, count=len(at))
+    for i, at, x, clauses, fals in inst._route_block(among, block)[1]:
         p = np.flatnonzero(fals.sum(axis=1) == 1)
         j = fals[p].argmax(axis=1)
         k = inst.dict_row(i)[j]
         # x_k reads 0, k avoids clause j, and x^(k) stays in the band: x is
         # in it, so only the top weight can be left
-        keep = ((x[p, k] == 0) & (blk[j] != k[:, None]).all(axis=1)
-                & (x[p].sum(axis=1) + 1 <= hi))
+        keep = ((x[p, k] == 0) & (clauses[j] != k[:, None]).all(axis=1)
+                & (x[p].sum(axis=1) + 1 <= inst.band_high))
         picked += at[p[keep]].tolist()
         cells += zip(repeat(i), k[keep].tolist())
-    return [(b, k) for b, (i, k) in zip(_point_ints(block[picked]), cells)
+    ints = picked if block is None else _point_ints(block[picked])
+    return [(b, k) for b, (i, k) in zip(ints, cells)
             if _hits(b | 1 << k, inst._term_tables) == [i]]
 
 
@@ -395,7 +351,7 @@ def estimate_witness_density(
     _require_witness_instance(inst)
     rng = rng or RngStream(0, "witness-estimate")
     block = rng.band_points(inst.n, inst.band_low, inst.band_high, samples)
-    hits = len(_witness_members(inst, block))
+    hits = len(_witness_members(inst, (1 << samples) - 1, block))
     return FarnessEstimate.from_hits(hits, samples, seed=rng.master_seed)
 
 
@@ -420,20 +376,6 @@ class UnateFamilyStats:
     samples: Optional[int]
 
 
-def _unate_point_class(inst: UnateInstance, y: BitString) -> Optional[tuple[int, str]]:
-    """(special variable, side) of a de-oriented point, if it is in X with
-    value 0; side '+' when y_k = 0, '-' when y_k = 1."""
-    if inst.band_class_base(y) != "middle":
-        return None
-    r = inst.route_base(y)
-    if r.kind != "term":
-        return None
-    k = int(inst._dict_vars[r.i])
-    if inst.dictator(r.i).value_at(y) != 0:
-        return None
-    return (k, "+" if y[k] == 0 else "-")
-
-
 def unate_no_family_stats(
     inst: UnateInstance,
     samples: int = 0,
@@ -441,43 +383,26 @@ def unate_no_family_stats(
     exhaustive: bool = False,
 ) -> UnateFamilyStats:
     """Densities of the per-direction witness families of the de-oriented
-    function (orientation leaves the distance to unate unchanged)."""
-    mbar = sorted(int(k) for k in inst.Mbar_sorted)
+    function (orientation leaves the distance to unate unchanged), over the
+    whole cube or ``samples`` uniform points of ``rng``: the points routed
+    to a term where it reads 0, on the ``+`` side of its special variable
+    ``k`` when ``y_k = 0`` (a positive dictator), else on the ``-`` side."""
     if exhaustive:
-        table, rows, terms = inst._base_scan()
-        ks = inst._dict_vars[terms]
-        zero = table[rows] == 0
-        size = 1 << inst.n
-        plus = {}
-        minus = {}
-        total_min = 0.0
-        for k in mbar:
-            sel = (ks == k) & zero
-            xk = ((rows >> k) & 1).astype(bool)
-            p = int((sel & ~xk).sum())
-            m = int((sel & xk).sum())
-            plus[k] = FarnessEstimate.exact(p / size)
-            minus[k] = FarnessEstimate.exact(m / size)
-            total_min += min(p, m) / size
-        return UnateFamilyStats(plus, minus, total_min, None)
+        size, block = 1 << inst.n, None
+    else:
+        if samples <= 0:
+            raise ValueError(f"samples must be positive, got {samples}")
+        rng = rng or RngStream(0, "unate-family-stats")
+        size, block = samples, rng.band_points(inst.n, 0, inst.n, samples)
+    _, zeros = inst._base_block(block)
+    mbar = sorted(int(k) for k in inst.Mbar_sorted)
+    hits = {(k, negated): 0 for k in mbar for negated in (False, True)}
+    for z, k, negated in zip(zeros, inst._dict_vars.tolist(), inst._dict_negated.tolist()):
+        hits[k, negated] += z.bit_count()
 
-    if samples <= 0:
-        raise ValueError(f"samples must be positive, got {samples}")
-    rng = rng or RngStream(0, "unate-family-stats")
-    hits_plus = {k: 0 for k in mbar}
-    hits_minus = {k: 0 for k in mbar}
-    for bits in _point_ints(rng.band_points(inst.n, 0, inst.n, samples)):
-        cls = _unate_point_class(inst, BitString(inst.n, bits))
-        if cls is None:
-            continue
-        k, side = cls
-        if side == "+":
-            hits_plus[k] += 1
-        else:
-            hits_minus[k] += 1
-    plus = {k: FarnessEstimate.from_hits(hits_plus[k], samples) for k in mbar}
-    minus = {k: FarnessEstimate.from_hits(hits_minus[k], samples) for k in mbar}
-    total_min = sum(
-        min(hits_plus[k], hits_minus[k]) / samples for k in mbar
-    )
-    return UnateFamilyStats(plus, minus, total_min, samples)
+    def density(h: int) -> FarnessEstimate:
+        return FarnessEstimate.exact(h / size) if exhaustive else FarnessEstimate.from_hits(h, size)
+
+    plus, minus = ({k: density(hits[k, negated]) for k in mbar} for negated in (False, True))
+    total_min = sum(min(hits[k, False], hits[k, True]) / size for k in mbar)
+    return UnateFamilyStats(plus, minus, total_min, None if exhaustive else samples)

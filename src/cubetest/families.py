@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import getitem, or_
-from typing import Iterable, NamedTuple, Sequence
+from operator import and_, getitem, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,10 +98,23 @@ def _check_indices(n: int, *parts) -> None:
             raise ValueError(f"variable index {bad} out of range [0, {n}) (1..{n} in files)")
 
 
+def _json_ints(name: str, value):
+    """``value`` (nested lists of) JSON integers, once every leaf is an ``int``
+    and not a ``bool``: a float would be cut to another instance's index."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack += v
+        elif not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name}: expected integers, got {v!r}")
+    return value
+
+
 def _require_table_cap(n: int) -> None:
     if n > TABLE_CAP:
         raise ResourceLimitError(
-            f"truth table needs 2**{n} entries; cap is 2**{TABLE_CAP}"
+            f"a whole-cube scan needs 2**{n} entries; cap is 2**{TABLE_CAP}"
         )
 
 
@@ -114,36 +127,86 @@ def _band_class(w: float, lo: float, hi: float) -> str:
     return "middle"
 
 
-# Whole-cube scans (n <= TABLE_CAP) see a point as its integer index in the
-# ``BitString.bits`` encoding and a term or clause as the bit mask of its
-# variables: ``p`` satisfies term ``m`` when ``p & m == m`` and falsifies
-# clause ``m`` when ``p & m == 0``, that is when ``~p`` satisfies term ``m``.
+# Block scans (the whole cube, its middle layer, or a sample) see a set of
+# the block's points as a Python-int bitset, point ``p`` of the block at bit
+# ``p``, and the block itself as its columns: ``cols[v]`` is the bitset of
+# the points with coordinate ``v`` set.  A sample's columns come from its
+# 0/1 rows (``_columns(_block_rows(points, n))``); the cube's, where point
+# ``p`` is the cube index ``p``, from ``_cube_columns``.  The two cube
+# builders refuse ``n > TABLE_CAP`` before they allocate, so every
+# whole-cube scan keeps the cap.
 
 
-def _cube_weights(n: int) -> np.ndarray:
-    """Hamming weight of every point of ``{0,1}^n``, indexed by the point."""
+def _cube_weights(n: int, mask: int = -1) -> np.ndarray:
+    """Weight inside ``mask`` of every point of ``{0,1}^n``, indexed by the point."""
+    _require_table_cap(n)
     w = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
-        w[1 << i : 2 << i] = w[: 1 << i] + 1
+        w[1 << i : 2 << i] = w[: 1 << i] + (mask >> i & 1)
     return w
 
 
-def _bit_masks(members: np.ndarray) -> np.ndarray:
-    """Bit mask of each row of variable indices (duplicates allowed)."""
-    return np.bitwise_or.reduce(np.left_shift(1, members, dtype=np.int64), axis=-1)
+def _cube_columns(n: int) -> list[int]:
+    """The columns of the whole cube: column ``v`` is runs of ``2**v`` zeros
+    and ``2**v`` ones, repeated from one byte pattern."""
+    _require_table_cap(n)
+    size, full = max(1 << n >> 3, 1), (1 << (1 << n)) - 1  # full trims the byte of n < 3
+    cols = []
+    for v in range(n):
+        run = 1 << v >> 3  # bytes of a run
+        pattern = bytes(run) + b"\xff" * run if run else (b"\xaa", b"\xcc", b"\xf0")[v]
+        cols.append(int.from_bytes(pattern * (size // len(pattern)), "little") & full)
+    return cols
 
 
-def _first_two(points: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per integer point: the number of term ``masks`` it satisfies, capped
-    at 2, and the first one (-1 if none).  An empty mask is satisfied by
-    every point."""
-    count = np.zeros(len(points), dtype=np.uint8)
-    first = np.full(len(points), -1, dtype=np.int32)
-    for i, m in enumerate(masks):
-        sat = (points & m) == m
-        first[sat & (count == 0)] = i
-        count[sat & (count < 2)] += 1
-    return count, first
+def _columns(rows: np.ndarray) -> list[int]:
+    """Per column of a 0/1 ``(rows, n)`` matrix, the Python-int bitset of
+    the rows where it is set (row ``r`` at bit ``r``)."""
+    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per column
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(rows.shape[1])]
+
+
+def _block_rows(points: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 ``(count, n)`` matrix of a :meth:`RngStream.band_points` block."""
+    raw = points.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def _unpack(bits: int, size: int) -> np.ndarray:
+    """The first ``size`` bits of a bitset as a 0/1 ``uint8`` array."""
+    raw = bits.to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little")
+
+
+def _band_bits(weights: np.ndarray, lo: float, hi: float) -> list[int]:
+    """The bitsets of the points of a block whose ``weights`` lie above the
+    band ``[lo, hi]`` and inside it."""
+    return _columns(np.stack((weights > hi, (weights >= lo) & (weights <= hi)), axis=1))
+
+
+def _sole(cols: list[int], members: list[list[int]], among: int) -> tuple[int, Iterator[int]]:
+    """Term level of the multiplexer over a block: the bitset of the points
+    of ``among`` that satisfy two or more rows of variable indices
+    ``members``, and an iterator over the rows that gives, per row, the
+    bitset of the points of ``among`` that satisfy it alone.  An empty row
+    is satisfied by every point."""
+    one = two = 0
+    for row in members:
+        sat = reduce(and_, map(cols.__getitem__, row), among)
+        two |= one & sat
+        one |= sat
+    once = one & ~two  # a lazy second pass holds one row's bitset at a time
+    return two, (reduce(and_, map(cols.__getitem__, row), once) for row in members)
+
+
+def _falsified(clauses: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Clause level over a block: entry ``[p, j]`` is 1 when the point of
+    row ``p`` of the 0/1 matrix ``x`` falsifies clause ``j``, a row of
+    variable indices.  The points' 0-coordinates, packed 8 points to a
+    byte, are ANDed over the variables of each clause."""
+    zeros = np.packbits(x ^ 1, axis=0)  # zeros[b, v]: points 8b .. 8b + 7 read 0 at v
+    return np.unpackbits(np.bitwise_and.reduce(zeros[:, clauses], axis=2), axis=0, count=len(x))
 
 
 # Per-query scans see a point as its ``BitString.bits`` integer and the rows
@@ -164,14 +227,6 @@ class _Tables(NamedTuple):
     full: int  # the bitset of every row
     fmt: str
     digits: tuple[dict[str, int], ...]
-
-
-def _columns(rows: np.ndarray) -> list[int]:
-    """Per column of a 0/1 ``(rows, n)`` matrix, the Python-int bitset of
-    the rows where it is set (row ``r`` at bit ``r``)."""
-    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per column
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(rows.shape[1])]
 
 
 def _pack(rows: np.ndarray) -> _Tables:
@@ -472,24 +527,41 @@ class MonoInstance:
         v = x[k]
         return 1 - v if self.negated else v
 
+    def _route_block(self, among: int, block: np.ndarray | None = None):
+        """The multiplexer over the points ``among`` of a ``band_points``
+        block, or of the whole cube (point ``p`` is the cube index ``p``)
+        when ``block`` is ``None``.
+
+        Returns the bitset of the points that satisfy two or more terms,
+        and an iterator that gives, for each term ``i`` in turn that some
+        points satisfy alone: ``i``, their positions in the block, their 0/1
+        rows, the clause block of ``i`` and their :func:`_falsified` matrix.
+        """
+        n = self.n
+        cols = _cube_columns(n) if block is None else _columns(_block_rows(block, n))
+        two, sole = _sole(cols, self._terms.tolist(), among)
+
+        def cells():
+            for i, mine in enumerate(sole):
+                if mine:
+                    at = np.flatnonzero(_unpack(mine, mine.bit_length()))
+                    x = _block_rows(at.view(np.uint64)[:, None] if block is None else block[at], n)
+                    clauses = self.clause_block(i)
+                    yield i, at, x, clauses, _falsified(clauses, x)
+
+        return two, cells()
+
     def truth_table(self) -> np.ndarray:
         """Vectorized full table; entry ``t`` is the value at bits ``t``."""
-        _require_table_cap(self.n)
-        points = np.arange(1 << self.n, dtype=np.int64)
-        w = _cube_weights(self.n)
-        table = (w > self.band_high).astype(np.uint8)
-        mid = (w >= self.band_low) & (w <= self.band_high)
-        count, first = _first_two(points, _bit_masks(self._terms))
-        table[mid & (count >= 2)] = 1
-        unique = mid & (count == 1)
-        for i in np.unique(first[unique]).tolist():
-            rows = np.flatnonzero(unique & (first == i))  # here a row is its own point
-            fcount, js = _first_two(~rows, _bit_masks(self.clause_block(i)))
-            table[rows[fcount == 0]] = 1
-            pick = fcount == 1
-            rr = rows[pick]
-            vals = (rr >> self.dict_row(i)[js[pick]]) & 1
-            table[rr] = 1 - vals if self.negated else vals
+        high, mid = _band_bits(_cube_weights(self.n), self.band_low, self.band_high)
+        two, cells = self._route_block(mid)
+        table = _unpack(high | two, 1 << self.n)
+        for i, at, x, _, fals in cells:
+            count = fals.sum(axis=1)
+            table[at[count == 0]] = 1
+            cell = np.flatnonzero(count == 1)
+            k = self.dict_row(i)[fals[cell].argmax(axis=1)]
+            table[at[cell]] = x[cell, k] ^ self.negated
         return table
 
     # -- serialization --------------------------------------------------------
@@ -516,15 +588,15 @@ class MonoInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonoInstance":
+        n = _json_ints("n", obj["n"])
         if obj["storage"] == "lazy":
-            seed = obj["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise ValueError(f"a lazy instance file needs an integer seed, got {seed!r}")
-            return cls.sample(
-                obj["n"], obj["world"], seed, term_len=obj.get("term_len")
-            )
-        parts = (np.asarray(obj[k], dtype=np.int32) - 1 for k in ("terms", "clauses", "dictators"))
-        return cls.from_parts(obj["n"], obj["world"], *parts, seed=obj.get("seed"))
+            term_len = obj.get("term_len")  # absent from older files
+            if term_len is not None:
+                _json_ints("term_len", term_len)
+            return cls.sample(n, obj["world"], _json_ints("seed", obj["seed"]), term_len=term_len)
+        parts = (np.asarray(_json_ints(k, obj[k]), dtype=np.int32) - 1
+                 for k in ("terms", "clauses", "dictators"))
+        return cls.from_parts(n, obj["world"], *parts, seed=obj.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +680,12 @@ class FlippedDnfInstance:
         return int(wc == "high")
 
     def truth_table(self) -> np.ndarray:
-        _require_table_cap(self.n)
-        flipped = np.arange(1 << self.n, dtype=np.int64) ^ self.flip_coords.mask
-        count, _ = _first_two(flipped, _bit_masks(self._terms))
-        w = _cube_weights(self.n)
-        table = (count > 0).astype(np.uint8)
-        table[w > self.band_high] = 1
-        table[w < self.band_low] = 0
-        return table
+        cols, full = _cube_columns(self.n), (1 << (1 << self.n)) - 1
+        # the columns of the flipped points x ^ s, indexed by x
+        cols = [c ^ full if v in self.flip_coords else c for v, c in enumerate(cols)]
+        high, mid = _band_bits(_cube_weights(self.n), self.band_low, self.band_high)
+        two, sole = _sole(cols, self._terms.tolist(), mid)
+        return _unpack(reduce(or_, sole, high | two), 1 << self.n)
 
     def to_json(self) -> dict:
         return {
@@ -634,10 +704,11 @@ class FlippedDnfInstance:
         # older files carry this key; only its default (false) is implemented
         if obj.get("truncate_after_flip", False):
             raise ValueError("truncate_after_flip is no longer supported")
+        _json_ints("flip_set", [obj["flip_set"]["n"], obj["flip_set"]["members"]])
         return cls.from_parts(
-            obj["n"],
+            _json_ints("n", obj["n"]),
             obj["world"],
-            np.asarray(obj["terms"], dtype=np.int32) - 1,
+            np.asarray(_json_ints("terms", obj["terms"]), dtype=np.int32) - 1,
             IndexSet.from_json(obj["flip_set"]),
             seed=obj.get("seed"),
         )
@@ -845,27 +916,27 @@ class UnateInstance:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
         return self.base_value(x.xor(self.orientation))
 
-    def _base_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-cube scan of the de-oriented function.
-
-        Returns its truth table, the in-band points that satisfy exactly
-        one term (ascending) and that term for each of them.
-        """
-        _require_table_cap(self.n)
-        points = np.arange(1 << self.n, dtype=np.int64)
-        wM = _cube_weights(self.n)[points & self._m_mask]
-        table = (wM > self.band_high).astype(np.uint8)
-        mid = (wM >= self.band_low) & (wM <= self.band_high)
-        masks = self._masks @ np.left_shift(1, np.arange(self.n, dtype=np.int64))
-        count, first = _first_two(points, masks)
-        table[mid & (count >= 2)] = 1
-        rows = np.flatnonzero(mid & (count == 1))  # a row is its own point
-        terms = first[rows]
-        table[rows] = ((rows >> self._dict_vars[terms]) & 1) ^ self._dict_negated[terms]
-        return table, rows, terms
+    def _base_block(self, block: np.ndarray | None = None) -> tuple[int, list[int]]:
+        """The de-oriented function over a ``band_points`` block, or over
+        the whole cube when ``block`` is ``None``: the bitset of the points
+        where it reads 1 and, per term, the bitset of the in-band points
+        routed to that term where it reads 0."""
+        if block is None:
+            cols, weights = _cube_columns(self.n), _cube_weights(self.n, self._m_mask)
+        else:
+            rows = _block_rows(block, self.n)
+            cols, weights = _columns(rows), rows[:, self.M_sorted].sum(axis=1)
+        high, mid = _band_bits(weights, self.band_low, self.band_high)
+        two, sole = _sole(cols, [np.flatnonzero(t).tolist() for t in self._masks], mid)
+        ones, zeros = high | two, []
+        for mine, k, negated in zip(sole, self._dict_vars.tolist(), self._dict_negated.tolist()):
+            read = mine & ~cols[k] if negated else mine & cols[k]  # where the dictator reads 1
+            ones |= read
+            zeros.append(mine ^ read)
+        return ones, zeros
 
     def base_truth_table(self) -> np.ndarray:
-        return self._base_scan()[0]
+        return _unpack(self._base_block()[0], 1 << self.n)
 
     def truth_table(self) -> np.ndarray:
         base = self.base_truth_table()
@@ -898,11 +969,12 @@ class UnateInstance:
         for d in obj["dictators"]:
             if not isinstance(d["negated"], bool):
                 raise ValueError(f"dictator negated must be true or false, got {d['negated']!r}")
+        _json_ints("index", [d["index"] for d in obj["dictators"]])
         return cls.from_parts(
-            obj["n"],
+            _json_ints("n", obj["n"]),
             obj["world"],
-            [i - 1 for i in obj["M"]],
-            [[v - 1 for v in t] for t in obj["terms"]],
+            [i - 1 for i in _json_ints("M", obj["M"])],
+            [[v - 1 for v in t] for t in _json_ints("terms", obj["terms"])],
             [(d["index"] - 1, d["negated"]) for d in obj["dictators"]],
             r_bits=obj["r_bits"],
             s_bits=obj["s_bits"],
@@ -984,10 +1056,10 @@ class OneLevelInstance(UnateInstance):
     @classmethod
     def from_json(cls, obj: dict) -> "OneLevelInstance":
         return cls.from_parts(
-            obj["n"],
+            _json_ints("n", obj["n"]),
             obj["world"],
-            [[v - 1 for v in t] for t in obj["terms"]],
-            [d - 1 for d in obj["dictators"]],
+            [[v - 1 for v in t] for t in _json_ints("terms", obj["terms"])],
+            [d - 1 for d in _json_ints("dictators", obj["dictators"])],
             seed=obj.get("seed"),
         )
 
@@ -1042,7 +1114,7 @@ class QuadrantInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadrantInstance":
-        return cls(obj["n"], obj["i"] - 1)
+        return cls(_json_ints("n", obj["n"]), _json_ints("i", obj["i"]) - 1)
 
 
 # ---------------------------------------------------------------------------

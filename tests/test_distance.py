@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -31,7 +33,9 @@ from cubetest.distance import (
     witness_edge_family,
     witness_edge_at,
 )
-from cubetest.families import QuadrantInstance, MonoInstance, Route, UnateInstance
+from cubetest.families import (
+    FlippedDnfInstance, MonoInstance, OneLevelInstance, QuadrantInstance, Route, UnateInstance,
+)
 
 from conftest import BANDS
 
@@ -291,6 +295,21 @@ class TestWitnessEdges:
         assert abs(est.estimate - exact) <= 3 * max(est.ci_halfwidth / 1.96, 1e-4)
 
 
+def _unate_point_class(inst: UnateInstance, y: BitString) -> Optional[tuple[int, str]]:
+    """Per-point twin of ``unate_no_family_stats``: (special variable, side)
+    of a de-oriented point, if it is in X with value 0; side '+' when
+    y_k = 0, '-' when y_k = 1."""
+    if inst.band_class_base(y) != "middle":
+        return None
+    r = inst.route_base(y)
+    if r.kind != "term":
+        return None
+    k = int(inst._dict_vars[r.i])
+    if inst.dictator(r.i).value_at(y) != 0:
+        return None
+    return (k, "+" if y[k] == 0 else "-")
+
+
 class TestUnateFamilyStats:
     def test_yes_world_min_sum_zero(self):
         inst = UnateInstance.sample(16, "yes", seed=2)
@@ -313,8 +332,6 @@ class TestUnateFamilyStats:
             assert abs(est.estimate - exact.minus[k].estimate) <= 4 * sigma
 
     def test_member_edges_are_bichromatic(self, rng):
-        from cubetest.distance import _unate_point_class
-
         inst = UnateInstance.sample(16, "no", seed=7)
         checked = 0
         while checked < 200:
@@ -330,6 +347,22 @@ class TestUnateFamilyStats:
         inst = UnateInstance.sample(16, "no", seed=1)
         with pytest.raises(ValueError, match="samples"):
             unate_no_family_stats(inst, samples=0)
+
+    @pytest.mark.parametrize("n, seed", [(16, 4), (16, 5), (100, 2)])
+    def test_sampled_counts_match_the_per_point_twin(self, n, seed):
+        # the same stream, replayed one BitString.random point at a time
+        inst = UnateInstance.sample(n, "no", seed)
+        fast, slow = RngStream(seed, "ustats-twin"), RngStream(seed, "ustats-twin")
+        stats = unate_no_family_stats(inst, samples=2000, rng=fast)
+        hits = {(int(k), side): 0 for k in inst.Mbar_sorted for side in "+-"}
+        for _ in range(2000):
+            cls = _unate_point_class(inst, BitString.random(n, slow))
+            if cls is not None:
+                hits[cls] += 1
+        assert sum(hits.values()) > 0
+        assert stats.plus == {k: FarnessEstimate.from_hits(hits[k, "+"], 2000) for k, _ in hits}
+        assert stats.minus == {k: FarnessEstimate.from_hits(hits[k, "-"], 2000) for k, _ in hits}
+        assert fast._calls == slow._calls
 
 
 class TestFarnessEstimate:
@@ -363,7 +396,7 @@ class TestFarnessEstimate:
 
 
 # blake2b digests recorded when the whole-cube scans ran over a boolean
-# point matrix; they pin the integer-point scans bit for bit.
+# point matrix; they pin the bitset block scans bit for bit.
 # witness_edge_family of MonoInstance.sample(n, "no", seed, term_len=...):
 WITNESS_FAMILY_DIGESTS = {
     (14, 4, 0): "b1f12ec37d2277e9386b3d37dcd0183f",
@@ -409,6 +442,49 @@ def test_cube_scans_pinned():
     assert witness == WITNESS_FAMILY_DIGESTS
     assert middle == MIDDLE_LAYER_DIGESTS
     assert stats == UNATE_STATS_DIGESTS
+
+
+def _mono21() -> MonoInstance:
+    return MonoInstance.sample(21, "no", 1, term_len=4)
+
+
+def _unate21() -> UnateInstance:
+    return UnateInstance.from_parts(21, "no", range(10), [[0, 1], [2]], [(12, True), (15, False)])
+
+
+# every whole-cube entry point, one dimension past the 2**20 table cap, as
+# (instance builder, call)
+_CUBE_ENTRY_POINTS = {
+    "mono-truth_table": (_mono21, MonoInstance.truth_table),
+    "flipdnf-truth_table": (
+        lambda: FlippedDnfInstance.from_parts(21, "no", [[0, 1], [2, 3]], [4]),
+        FlippedDnfInstance.truth_table,
+    ),
+    "onelevel-truth_table": (
+        lambda: OneLevelInstance.from_parts(21, "no", [[0, 1], [2]], [3, 4]),
+        OneLevelInstance.truth_table,
+    ),
+    "unate-truth_table": (_unate21, UnateInstance.truth_table),
+    "unate-base_truth_table": (_unate21, UnateInstance.base_truth_table),
+    "witness_edge_family": (_mono21, witness_edge_family),
+    "exhaustive_witness_density": (_mono21, exhaustive_witness_density),
+    "unate_no_family_stats": (_unate21, lambda inst: unate_no_family_stats(inst, exhaustive=True)),
+    "middle_layer_indices": (lambda: None, lambda _: middle_layer_indices(21, 6, 15)),
+}
+
+
+@pytest.mark.parametrize("build, call", _CUBE_ENTRY_POINTS.values(), ids=_CUBE_ENTRY_POINTS.keys())
+def test_whole_cube_entry_points_keep_the_cap(build, call):
+    inst = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            call(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before any per-point allocation: one bit per point is 256 KB
+    assert peak < 1 << 17
 
 
 def _assert_scan_matches_the_per_point_twin(inst: MonoInstance) -> list:

@@ -507,6 +507,24 @@ _MALFORMED_CASES = {
     "mono-seed-null": ("mono", "no", _set("seed"), None, "seed"),
     "mono-seed-string": ("mono", "yes", _set("seed"), "7", "seed"),
     "mono-seed-bool": ("mono", "no", _set("seed"), True, "seed"),
+    # a non-integer index or dimension used to crash with a TypeError ...
+    "unate-M-string": ("unate", "no", _set("M", 0), "1", "M:"),
+    "unate-terms-null": ("unate", "yes", _set_term, None, "terms:"),
+    "unate-index-string": ("unate", "no", _set("dictators", 1, "index"), "9", "index:"),
+    "onelevel-dictators-null": ("onelevel", "no", _set("dictators", 0), None, "dictators:"),
+    "onelevel-terms-string": ("onelevel", "yes", _set_term, "2", "terms:"),
+    "mono-explicit-terms-null": ("mono-explicit", "no", _set("terms", 0, 0), None, "terms:"),
+    "flipdnf-terms-null": ("flipdnf", "no", _set("terms", 5, 1), None, "terms:"),
+    "flipdnf-flip-null": ("flipdnf", "no", _set("flip_set", "members"), [None], "flip_set:"),
+    "quadrant-i-string": ("quadrant", "yes", _set("i"), "2", "i:"),
+    "quadrant-i-float": ("quadrant", "yes", _set("i"), 2.5, "i:"),
+    "mono-n-string": ("mono", "no", _set("n"), "9", "n:"),
+    "mono-term_len-string": ("mono", "yes", _set("term_len"), "4", "term_len:"),
+    # ... or, as a float, loaded silently as another instance
+    "mono-explicit-terms-float": ("mono-explicit", "yes", _set("terms", 1, 2), 1.5, "terms:"),
+    "flipdnf-terms-float": ("flipdnf", "yes", _set("terms", 3, 0), 2.7, "terms:"),
+    "unate-index-bool": ("unate", "yes", _set("dictators", 0, "index"), True, "index:"),
+    "mono-term_len-bool": ("mono", "no", _set("term_len"), True, "term_len:"),
 }
 
 
@@ -514,7 +532,10 @@ _MALFORMED_CASES = {
     "family, world, put, bad, field", _MALFORMED_CASES.values(), ids=_MALFORMED_CASES.keys()
 )
 def test_malformed_field_rejected(family, world, put, bad, field, tmp_path, capsys):
-    obj = sample_instance(family, 16, world, seed=3).to_json()
+    if family == "mono-explicit":
+        obj = make_handbuilt_mono(world).to_json()
+    else:
+        obj = sample_instance(family, 16, world, seed=3).to_json()
     assert instance_from_json(obj) is not None
     put(obj, bad)
     with pytest.raises(ValueError, match=field):
@@ -555,7 +576,7 @@ def test_single_level_tables_pinned():
 
 
 # blake2b digests of truth_table() as computed over a boolean point matrix;
-# they pin the integer-point whole-cube scans of the two-level and
+# they pin the bitset whole-cube scans of the two-level and
 # flipped-DNF families bit for bit.  Keys: (n, term_len, seed, world).
 MONO_TABLE_DIGESTS = {
     (9, None, 0, "yes"): "0a06e8ee2a6589e48263150a0a064282",

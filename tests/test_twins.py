@@ -6,14 +6,16 @@ set, the orientation and the four quadrants.  A twin shares no scan with
 the library, so checking it against ``value`` and ``truth_table`` checks
 the fast paths.  Seeded two-level instances derive their rows on first
 use; hand-built ones hold every row pinned; both are covered.  The
-per-query kernel has its own twin, the plain first-two-rows loop, checked
-at the hex-digit and 64-bit boundaries.
+per-query kernel and the block term level each have their own twin, a
+plain loop over the rows, checked at the hex-digit, byte and 64-bit
+boundaries.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +30,13 @@ from cubetest.families import (
     QuadrantInstance,
     Term,
     UnateInstance,
+    _block_rows,
+    _columns,
+    _cube_columns,
     _hits,
     _pack,
     _pack_members,
+    _sole,
     _term_masks,
     sample_instance,
 )
@@ -236,6 +242,39 @@ def test_index_rows_pack_like_boolean_rows(case):
     want = _pack(_term_masks(n, rows))
     for bits in points:
         assert _hits(bits, got) == _hits(bits, want)
+
+
+# ---------------------------------------------------------------------------
+# The block term level at byte and word boundaries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cube_columns_are_the_columns_of_the_cube(n):
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    assert _cube_columns(n) == _columns(rows)
+
+
+# blocks of 7, 8 and 9 points end around a byte of the packed columns, and
+# 63, 64 and 65 points around a 64-bit word
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sole_matches_the_plain_loop(count, data):
+    n, rows, _ = data.draw(_rows_and_point())
+    points = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    among = data.draw(st.integers(0, (1 << count) - 1))
+    words = -(-n // 64)
+    block = np.array([[p >> 64 * w & (2**64 - 1) for w in range(words)] for p in points],
+                     dtype=np.uint64)
+    two, sole = _sole(_columns(_block_rows(block, n)), rows, among)
+    sole = list(sole)
+    for p, bits in enumerate(points):
+        hit = [r for r, row in enumerate(rows) if all(bits >> v & 1 for v in row)]
+        if not among >> p & 1:
+            hit = []
+        assert two >> p & 1 == (len(hit) >= 2)
+        assert [r for r, s in enumerate(sole) if s >> p & 1] == (hit if len(hit) == 1 else [])
 
 
 def test_hits_at_the_word_boundary():
