@@ -86,15 +86,18 @@ def _dim_of(table: np.ndarray, n: Optional[int] = None) -> int:
     return dim
 
 
+def _edge_halves(table: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per direction ``i``, two ``(2**(n-i-1), 2**i)`` views of the table:
+    the values at the points with bit ``i`` clear, and at their neighbours
+    across ``i``."""
+    halves = (table.reshape(-1, 2, 1 << i) for i in range(n))
+    return [(h[:, 0], h[:, 1]) for h in halves]
+
+
 def count_violating_edges(table: np.ndarray, n: Optional[int] = None) -> int:
     """Number of hypercube edges with value 1 below and 0 above."""
     n = _dim_of(table, n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    total = 0
-    for i in range(n):
-        lower = idx[(idx >> i) & 1 == 0]
-        total += int((table[lower] > table[lower | (1 << i)]).sum())
-    return total
+    return sum(int(np.count_nonzero(lo > up)) for lo, up in _edge_halves(table, n))
 
 
 def _violating_pairs(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,17 +154,22 @@ def exact_dist_mono(
 def exact_dist_unate(
     table: np.ndarray, n: Optional[int] = None, cap: int = UNATE_EXACT_CAP
 ) -> Fraction:
-    """Distance to unate: min over orientations of the distance to monotone."""
+    """Distance to unate: min over orientations of the distance to monotone.
+
+    The scan stops at the first orientation whose distance meets
+    ``unate_dist_lower_bound``: that bound is certified, so it is the
+    minimum."""
     n = _dim_of(table, n)
     if n > cap:
         raise ResourceLimitError(f"exact unate distance capped at n={cap}, got {n}")
+    bound = unate_dist_lower_bound(table, n)
     idx = np.arange(1 << n, dtype=np.int64)
     best: Optional[Fraction] = None
     for r in range(1 << n):
         d = exact_dist_mono(table[idx ^ r], n, cap=max(cap, MONO_EXACT_CAP))
         if best is None or d < best:
             best = d
-            if best == 0:
+            if best == bound:
                 break
     return best
 
@@ -172,15 +180,11 @@ def directional_edge_counts(
     """Per direction, the lower endpoints of monotone / anti-monotone
     bi-chromatic edges (lower endpoint = the one with bit i clear)."""
     n = _dim_of(table, n)
-    idx = np.arange(1 << n, dtype=np.int64)
     out = []
-    for i in range(n):
-        lower = idx[(idx >> i) & 1 == 0]
-        up = table[lower | (1 << i)]
-        lo = table[lower]
-        mono = lower[(lo == 0) & (up == 1)]
-        anti = lower[(lo == 1) & (up == 0)]
-        out.append((mono, anti))
+    for i, (lo, up) in enumerate(_edge_halves(table, n)):
+        # position f of a half is the point f + (f >> i << i) of the cube
+        mono, anti = (np.flatnonzero(m) for m in ((lo == 0) & (up == 1), (lo == 1) & (up == 0)))
+        out.append((mono + (mono >> i << i), anti + (anti >> i << i)))
     return out
 
 
@@ -203,17 +207,13 @@ def unate_dist_lower_bound(table: np.ndarray, n: Optional[int] = None) -> Fracti
     used = np.zeros(1 << n, dtype=bool)
     total = 0
     for i in order:
-        mono, anti = sets[i]
         bit = 1 << i
-        free_mono = [x for x in mono if not used[x] and not used[x | bit]]
-        free_anti = [x for x in anti if not used[x] and not used[x | bit]]
-        take = min(len(free_mono), len(free_anti))
-        if take == 0:
-            continue
-        for x in free_mono[:take]:
-            used[x] = used[x | bit] = True
-        for x in free_anti[:take]:
-            used[x] = used[x | bit] = True
+        # the edges of one direction share no point, so taking some of them
+        # blocks none of the others
+        free = [e[~used[e] & ~used[e | bit]] for e in sets[i]]
+        take = min(len(e) for e in free)
+        for e in free:
+            used[e[:take]] = used[e[:take] | bit] = True
         total += take
     return Fraction(total, 1 << n)
 

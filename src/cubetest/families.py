@@ -98,16 +98,17 @@ def _check_indices(n: int, *parts) -> None:
             raise ValueError(f"variable index {bad} out of range [0, {n}) (1..{n} in files)")
 
 
-def _json_ints(name: str, value):
-    """``value`` (nested lists of) JSON integers, once every leaf is an ``int``
-    and not a ``bool``: a float would be cut to another instance's index."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, list):
-            stack += v
-        elif not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name}: expected integers, got {v!r}")
+def _json_field(name: str, value, depth: int = 0, leaf: type = int):
+    """``value``, once it is lists nested ``depth`` deep of ``leaf`` values:
+    JSON integers (an ``int`` and not a ``bool``: a float would be cut to
+    another instance's index) or, with ``leaf=dict``, objects."""
+    level = [value]
+    for kind in (list,) * depth + (leaf,):
+        for v in level:
+            if not isinstance(v, kind) or isinstance(v, bool):
+                raise ValueError(f"{name}: expected {kind.__name__}, got {v!r:.40}")
+        if kind is list:
+            level = [w for v in level for w in v]
     return value
 
 
@@ -588,14 +589,14 @@ class MonoInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonoInstance":
-        n = _json_ints("n", obj["n"])
+        n = _json_field("n", obj["n"])
         if obj["storage"] == "lazy":
             term_len = obj.get("term_len")  # absent from older files
             if term_len is not None:
-                _json_ints("term_len", term_len)
-            return cls.sample(n, obj["world"], _json_ints("seed", obj["seed"]), term_len=term_len)
-        parts = (np.asarray(_json_ints(k, obj[k]), dtype=np.int32) - 1
-                 for k in ("terms", "clauses", "dictators"))
+                _json_field("term_len", term_len)
+            return cls.sample(n, obj["world"], _json_field("seed", obj["seed"]), term_len=term_len)
+        parts = (np.asarray(_json_field(k, obj[k], depth), dtype=np.int32) - 1
+                 for k, depth in (("terms", 2), ("clauses", 3), ("dictators", 2)))
         return cls.from_parts(n, obj["world"], *parts, seed=obj.get("seed"))
 
 
@@ -704,12 +705,14 @@ class FlippedDnfInstance:
         # older files carry this key; only its default (false) is implemented
         if obj.get("truncate_after_flip", False):
             raise ValueError("truncate_after_flip is no longer supported")
-        _json_ints("flip_set", [obj["flip_set"]["n"], obj["flip_set"]["members"]])
+        flip = _json_field("flip_set", obj["flip_set"], leaf=dict)
+        _json_field("flip_set", flip["n"])
+        _json_field("flip_set", flip["members"], 1)
         return cls.from_parts(
-            _json_ints("n", obj["n"]),
+            _json_field("n", obj["n"]),
             obj["world"],
-            np.asarray(_json_ints("terms", obj["terms"]), dtype=np.int32) - 1,
-            IndexSet.from_json(obj["flip_set"]),
+            np.asarray(_json_field("terms", obj["terms"], 2), dtype=np.int32) - 1,
+            IndexSet.from_json(flip),
             seed=obj.get("seed"),
         )
 
@@ -966,16 +969,17 @@ class UnateInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "UnateInstance":
-        for d in obj["dictators"]:
+        dictators = _json_field("dictators", obj["dictators"], 1, dict)
+        for d in dictators:
             if not isinstance(d["negated"], bool):
                 raise ValueError(f"dictator negated must be true or false, got {d['negated']!r}")
-        _json_ints("index", [d["index"] for d in obj["dictators"]])
+        _json_field("index", [d["index"] for d in dictators], 1)
         return cls.from_parts(
-            _json_ints("n", obj["n"]),
+            _json_field("n", obj["n"]),
             obj["world"],
-            [i - 1 for i in _json_ints("M", obj["M"])],
-            [[v - 1 for v in t] for t in _json_ints("terms", obj["terms"])],
-            [(d["index"] - 1, d["negated"]) for d in obj["dictators"]],
+            [i - 1 for i in _json_field("M", obj["M"], 1)],
+            [[v - 1 for v in t] for t in _json_field("terms", obj["terms"], 2)],
+            [(d["index"] - 1, d["negated"]) for d in dictators],
             r_bits=obj["r_bits"],
             s_bits=obj["s_bits"],
             seed=obj.get("seed"),
@@ -1056,10 +1060,10 @@ class OneLevelInstance(UnateInstance):
     @classmethod
     def from_json(cls, obj: dict) -> "OneLevelInstance":
         return cls.from_parts(
-            _json_ints("n", obj["n"]),
+            _json_field("n", obj["n"]),
             obj["world"],
-            [[v - 1 for v in t] for t in _json_ints("terms", obj["terms"])],
-            [d - 1 for d in _json_ints("dictators", obj["dictators"])],
+            [[v - 1 for v in t] for t in _json_field("terms", obj["terms"], 2)],
+            [d - 1 for d in _json_field("dictators", obj["dictators"], 1)],
             seed=obj.get("seed"),
         )
 
@@ -1100,21 +1104,16 @@ class QuadrantInstance:
         return xi if a == 1 else 1 - xi
 
     def truth_table(self) -> np.ndarray:
-        _require_table_cap(self.dimension)
-        size = 1 << self.dimension
-        idx = np.arange(size, dtype=np.int64)
-        a = (idx & 1).astype(bool)
-        b = ((idx >> 1) & 1).astype(bool)
-        xi = ((idx >> (2 + self.i)) & 1).astype(np.uint8)
-        table = np.where(a, np.where(b, 1, xi), np.where(b, 1 - xi, 0))
-        return table.astype(np.uint8)
+        cols = _cube_columns(self.dimension)
+        a, b, x = cols[0], cols[1], cols[2 + self.i]
+        return _unpack(a & b | a & ~b & x | b & ~a & ~x, 1 << self.dimension)
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "i": self.i + 1}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadrantInstance":
-        return cls(_json_ints("n", obj["n"]), _json_ints("i", obj["i"]) - 1)
+        return cls(_json_field("n", obj["n"]), _json_field("i", obj["i"]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1142,7 @@ def sample_instance(family: str, n: int, world: str, seed: int, term_len: int | 
 
 def instance_from_json(obj: dict):
     """Load any family instance from its JSON form."""
-    fam = obj.get("family")
+    fam = _json_field("instance file", obj, leaf=dict).get("family")
     if fam not in _FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     return _FAMILIES[fam].from_json(obj)

@@ -189,6 +189,129 @@ class TestUnateLowerBound:
             assert not (set(mono) & set(anti))
 
 
+# Per-edge twins of the edge passes: each direction's lower endpoints from
+# an index array over the cube, and the greedy one edge at a time.
+
+
+def _count_twin(table: np.ndarray, n: int) -> int:
+    idx = np.arange(1 << n, dtype=np.int64)
+    total = 0
+    for i in range(n):
+        lower = idx[(idx >> i) & 1 == 0]
+        total += int((table[lower] > table[lower | (1 << i)]).sum())
+    return total
+
+
+def _directional_twin(table: np.ndarray, n: int) -> list:
+    idx = np.arange(1 << n, dtype=np.int64)
+    out = []
+    for i in range(n):
+        lower = idx[(idx >> i) & 1 == 0]
+        lo, up = table[lower], table[lower | (1 << i)]
+        out.append((lower[(lo == 0) & (up == 1)], lower[(lo == 1) & (up == 0)]))
+    return out
+
+
+def _greedy_twin(table: np.ndarray, n: int) -> Fraction:
+    sets = _directional_twin(table, n)
+    order = sorted(range(n), key=lambda i: min(map(len, sets[i])), reverse=True)
+    used = np.zeros(1 << n, dtype=bool)
+    total = 0
+    for i in order:
+        bit = 1 << i
+        free = [[x for x in e if not used[x] and not used[x | bit]] for e in sets[i]]
+        take = min(map(len, free))
+        for e in free:
+            for x in e[:take]:
+                used[x] = used[x | bit] = True
+        total += take
+    return Fraction(total, 1 << n)
+
+
+def _unate_scan_twin(table: np.ndarray, n: int) -> Fraction:
+    idx = np.arange(1 << n, dtype=np.int64)
+    return min(exact_dist_mono(table[idx ^ r], n) for r in range(1 << n))
+
+
+def _random_tables(n: int) -> list:
+    rng = np.random.default_rng(100 + n)
+    return [(rng.random(1 << n) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9)]
+
+
+# tables the edge passes are checked on against their twins, by name
+_EDGE_TABLES = {
+    **{f"random-n{n}": (lambda n=n: _random_tables(n)) for n in range(1, 11)},
+    **{
+        f"mono-{n}-{world}": (lambda n=n, world=world: [
+            MonoInstance.sample(n, world, seed).truth_table() for seed in (0, 1)
+        ])
+        for n in (9, 16) for world in ("yes", "no")
+    },
+    "flipdnf": lambda: [FlippedDnfInstance.sample(n, "no", 2).truth_table() for n in (9, 16)],
+    "onelevel": lambda: [OneLevelInstance.sample(n, "no", 2).truth_table() for n in (9, 16)],
+    "unate-base": lambda: [
+        UnateInstance.sample(16, world, 2).base_truth_table() for world in ("yes", "no")
+    ],
+    "quadrant": lambda: [
+        QuadrantInstance(n, i).truth_table() for n in (1, 2, 5, 8) for i in {0, n // 2, n - 1}
+    ],
+}
+
+
+@pytest.mark.parametrize("tables", _EDGE_TABLES.values(), ids=_EDGE_TABLES.keys())
+def test_edge_passes_match_the_per_edge_twins(tables):
+    for table in tables():
+        n = int(len(table)).bit_length() - 1
+        assert count_violating_edges(table, n) == _count_twin(table, n)
+        for got, want in zip(directional_edge_counts(table, n), _directional_twin(table, n)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
+        assert unate_dist_lower_bound(table, n) == _greedy_twin(table, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unate_scan_matches_the_full_scan(n):
+    for table in _random_tables(n):
+        assert exact_dist_unate(table, n) == _unate_scan_twin(table, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unate_scan_stops_at_the_lower_bound(n, monkeypatch):
+    # orientation 0 of a quadrant table already meets the bound 1/8
+    calls = []
+    inner = distance.exact_dist_mono
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(distance, "exact_dist_mono", counted)
+    for i in range(n):
+        calls.clear()
+        assert exact_dist_unate(QuadrantInstance(n, i).truth_table()) == Fraction(1, 8)
+        assert calls == [n + 2]
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_whole_cube_passes_build_no_index_arrays():
+    # an int64 index array over the cube is 8 MiB at n=20; built from such
+    # arrays, the two passes peaked at 21.0 and 32.9 MiB and the quadrant
+    # table at 19.0 MiB
+    table = MonoInstance.sample(20, "no", 1, term_len=4).truth_table()
+    assert _peak_bytes(lambda: count_violating_edges(table, 20)) < 4 << 20
+    assert _peak_bytes(lambda: unate_dist_lower_bound(table, 20)) < 24 << 20
+    assert _peak_bytes(lambda: QuadrantInstance(18, 5).truth_table()) < 8 << 20
+
+
 class TestWitnessEdges:
     def test_non_cell_routes_are_excluded(self):
         inst = MonoInstance.sample(16, "no", seed=1)
@@ -469,6 +592,7 @@ _CUBE_ENTRY_POINTS = {
     "witness_edge_family": (_mono21, witness_edge_family),
     "exhaustive_witness_density": (_mono21, exhaustive_witness_density),
     "unate_no_family_stats": (_unate21, lambda inst: unate_no_family_stats(inst, exhaustive=True)),
+    "quadrant-truth_table": (lambda: QuadrantInstance(19, 0), QuadrantInstance.truth_table),
     "middle_layer_indices": (lambda: None, lambda _: middle_layer_indices(21, 6, 15)),
 }
 

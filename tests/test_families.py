@@ -437,18 +437,26 @@ def test_explicit_form_pinned_and_roundtrips():
 
 
 def _set(*path):
-    """Put the value at ``path`` of an instance file to ``bad``."""
+    """Put the value at ``path`` of an instance file to ``bad``; the put
+    returns the file."""
 
     def put(obj, bad):
+        inner = obj
         for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = bad
+            inner = inner[key]
+        inner[path[-1]] = bad
+        return obj
 
     return put
 
 
 def _set_term(obj, bad):
     obj["terms"][0] = [bad]
+    return obj
+
+
+def _replace_file(obj, bad):
+    return bad
 
 
 # (family, world, where the out-of-range 1-based index goes)
@@ -525,6 +533,20 @@ _MALFORMED_CASES = {
     "flipdnf-terms-float": ("flipdnf", "yes", _set("terms", 3, 0), 2.7, "terms:"),
     "unate-index-bool": ("unate", "yes", _set("dictators", 0, "index"), True, "index:"),
     "mono-term_len-bool": ("mono", "no", _set("term_len"), True, "term_len:"),
+    # a field of the wrong shape used to crash with a TypeError, IndexError
+    # or AttributeError
+    "unate-M-scalar": ("unate", "no", _set("M"), 5, "M:"),
+    "unate-terms-flat": ("unate", "yes", _set("terms"), [1, 2], "terms:"),
+    "unate-dictators-scalar": ("unate", "no", _set("dictators"), 3, "dictators:"),
+    "unate-dictators-ints": ("unate", "yes", _set("dictators"), [3, 5], "dictators:"),
+    "onelevel-term-too-deep": ("onelevel", "no", _set_term, [1], "terms:"),
+    "onelevel-dictators-too-deep": ("onelevel", "yes", _set("dictators", 0), [1], "dictators:"),
+    "flipdnf-terms-scalar": ("flipdnf", "no", _set("terms"), 3, "terms:"),
+    "flipdnf-members-scalar": ("flipdnf", "no", _set("flip_set", "members"), 2, "flip_set:"),
+    "flipdnf-flip_set-list": ("flipdnf", "yes", _set("flip_set"), [1], "flip_set:"),
+    "mono-explicit-terms-scalar": ("mono-explicit", "no", _set("terms"), 3, "terms:"),
+    "quadrant-i-list": ("quadrant", "yes", _set("i"), [2], "i:"),
+    "file-not-an-object": ("quadrant", "yes", _replace_file, [1, 2], "instance file:"),
 }
 
 
@@ -537,7 +559,7 @@ def test_malformed_field_rejected(family, world, put, bad, field, tmp_path, caps
     else:
         obj = sample_instance(family, 16, world, seed=3).to_json()
     assert instance_from_json(obj) is not None
-    put(obj, bad)
+    obj = put(obj, bad)
     with pytest.raises(ValueError, match=field):
         instance_from_json(obj)
     path = tmp_path / "bad.json"
