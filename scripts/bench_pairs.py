@@ -13,9 +13,10 @@ each side, one run at a time, with ``T`` the ``run_seconds`` of
 first.  A pair whose two runs print different digests stops the script
 with exit 1 before anything is written.
 
-The report holds the machine facts, every run's summary line and last-line
-JSON, and per workload and end-to-end metric the median and quartiles of
-each side and the number of pairs the change won (ties count for neither).
+The report holds the machine facts, every run's summary line, speed-factor
+line (the unscaled timings) and last-line JSON, and per workload and
+end-to-end metric the median and quartiles of each side and the number of
+pairs the change won (ties count for neither).
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ RUN = ["perfbench/run.py"]
 
 
 def parse_run(stdout: str) -> dict:
-    """The summary line and the last-line JSON of one ``perfbench/run.py`` run."""
+    """The summary line, the speed-factor line when the run printed one
+    (``speed_factor=… unscaled …``, the op timings before scaling) and the
+    last-line JSON of one ``perfbench/run.py`` run."""
     lines = stdout.strip().splitlines()
     summary = [line for line in lines if line.startswith("workload=")]
     if not lines or len(summary) != 1:
         raise ValueError(f"no single summary line in the run's output:\n{stdout}")
-    return {"summary_line": summary[0], "result": json.loads(lines[-1])}
+    run = {"summary_line": summary[0]}
+    run.update(("speed_factor_line", line) for line in lines if line.startswith("speed_factor="))
+    run["result"] = json.loads(lines[-1])
+    return run
 
 
 def digest_of(run: dict) -> str:

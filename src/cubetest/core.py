@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_TOP = 1 << 64  # the range of one RNG word
+_COUNTER = struct.Struct("<qq")  # (call index, attempt), hashed after a stream's prefix
 
 
 class DimensionMismatchError(ValueError):
@@ -373,8 +375,19 @@ class RngStream:
     def _word(self, call_index: int, attempt: int) -> int:
         """BLAKE2b of the prefix and the counter, hashing the prefix once."""
         h = self._hasher.copy()
-        h.update(struct.pack("<qq", call_index, attempt))
+        h.update(_COUNTER.pack(call_index, attempt))
         return int.from_bytes(h.digest(), "little")
+
+    def _accept(self, call_index: int, upper: int, word: int) -> int:
+        """The draw of call ``call_index`` in ``1..upper``, from its attempt-0
+        ``word``: a word at or above the largest multiple of ``upper`` below
+        ``2**64`` is rejected and the next attempt hashed."""
+        limit = _TOP - _TOP % upper
+        attempt = 0
+        while word >= limit:
+            attempt += 1
+            word = self._word(call_index, attempt)
+        return word % upper + 1
 
     def draw(self, upper: int) -> int:
         """Uniform integer in ``1..upper`` (matching the 1-based set [m]),
@@ -385,13 +398,28 @@ class RngStream:
         self._calls += 1
         if upper == 1:
             return 1
-        limit = (1 << 64) - ((1 << 64) % upper)
-        attempt = 0
-        while True:
-            w = self._word(idx, attempt)
-            if w < limit:
-                return w % upper + 1
-            attempt += 1
+        return self._accept(idx, upper, self._word(idx, 0))
+
+    def _draws(self, uppers: Sequence[int]) -> list[int]:
+        """``[self.draw(u) for u in uppers]``, for ``1 <= u <= 2**64``: the
+        attempt-0 words of the calls hashed in one loop.  A word below
+        ``2**64 - u`` is below every rejection limit, so it is taken as
+        ``w % u + 1``; only a word at or above it goes through
+        :meth:`_accept`.  An upper of 1 takes its call index unhashed."""
+        idx = self._calls
+        self._calls = idx + len(uppers)
+        copy, pack, from_bytes = self._hasher.copy, _COUNTER.pack, int.from_bytes
+        out = []
+        for upper in uppers:
+            if upper == 1:
+                out.append(1)
+            else:
+                h = copy()
+                h.update(pack(idx, 0))
+                w = from_bytes(h.digest(), "little")
+                out.append(w % upper + 1 if w < _TOP - upper else self._accept(idx, upper, w))
+            idx += 1
+        return out
 
     def band_points(self, n: int, lo: float, hi: float, count: int) -> np.ndarray:
         """The first ``count`` points that successive :meth:`BitString.random`
@@ -408,7 +436,7 @@ class RngStream:
         check_band(n, lo, hi)
         words = -(-n // 64)
         masks = np.array([(1 << min(64, n - off)) - 1 for off in range(0, n, 64)], np.uint64)
-        copy, pack = self._hasher.copy, struct.Struct("<qq").pack
+        copy, pack = self._hasher.copy, _COUNTER.pack
         blocks = [np.empty((0, words), np.uint64)]
         need = count
         while need > 0:
@@ -430,18 +458,24 @@ class RngStream:
         return self.draw(upper) - 1
 
     def sample_without_replacement(self, pool: Sequence[int], k: int) -> list[int]:
-        """k distinct elements of ``pool``, order-stable partial Fisher-Yates."""
+        """k distinct elements of ``pool``, order-stable partial Fisher-Yates:
+        step ``i`` swaps in item ``i + randint0(len(pool) - i)``."""
         if k > len(pool):
             raise ValueError(f"cannot sample {k} from pool of {len(pool)}")
         items = list(pool)
-        for i in range(k):
-            j = i + self.randint0(len(items) - i)
+        i = 0
+        for d in self._draws(range(len(items), len(items) - k, -1)):
+            j = i + d - 1
             items[i], items[j] = items[j], items[i]
+            i += 1
         return items[:k]
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint0(i + 1)
+        """Fisher-Yates from the top: step ``i`` swaps item ``i`` with item
+        ``randint0(i + 1)``, for ``i = len(items) - 1`` down to 1."""
+        top = len(items) - 1
+        for i, d in zip(range(top, 0, -1), self._draws(range(top + 1, 1, -1))):
+            j = d - 1
             items[i], items[j] = items[j], items[i]
 
     def __repr__(self) -> str:

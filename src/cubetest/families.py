@@ -33,12 +33,14 @@ never changes a row.  A hand-built one
 (``from_parts``, the ``explicit`` JSON form) starts with every row pinned.
 
 Per-query scans: a query is answered from its ``BitString.bits`` integer,
-one hex digit at a time, against per-digit tables of Python-int bitsets
-over the rows (see :func:`_hits`), one kernel for the terms and clauses of
-every family.  The tables of ``N`` rows at dimension ``n`` are
-``ceil(n/4) * 15`` bitsets of ``N`` bits.  Term tables are built when an
-instance is; the tables of a two-level term's clause block join the row
-store the first time a query reaches that term.
+one chunk (a byte or a hex digit) at a time, against per-chunk tables of
+Python-int bitsets over the rows (see :func:`_hits`), one kernel for the
+terms and clauses of every family.  The tables of ``N`` rows at dimension
+``n`` are ``ceil(n/w) * 2**w`` bitsets of ``N`` bits for a chunk of ``w``
+bits.  Term tables are built when an instance is: byte-wide for a
+two-level instance while they fit under ``BYTE_TABLE_BOUND``, hex for the
+other families; the hex tables of a two-level term's clause block join
+the row store the first time a query reaches that term.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, getitem, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import and_, getitem, methodcaller, or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 TABLE_CAP = 20  # largest dimension for explicit truth tables (2**20 entries)
+BYTE_TABLE_BOUND = 1 << 22  # largest byte-wide term table set, in bitset bytes (4 MiB)
 
 _WORLDS = ("yes", "no")
 
@@ -138,25 +141,33 @@ def _band_class(w: float, lo: float, hi: float) -> str:
 # whole-cube scan keeps the cap.
 
 
-def _cube_weights(n: int, mask: int = -1) -> np.ndarray:
-    """Weight inside ``mask`` of every point of ``{0,1}^n``, indexed by the point."""
+def _cube_weights(n: int, mask: int = -1, flip: int = 0) -> np.ndarray:
+    """Weight inside ``mask`` of the point ``x ^ flip``, for every point
+    ``x`` of ``{0,1}^n``, indexed by ``x``."""
     _require_table_cap(n)
     w = np.zeros(1 << n, dtype=np.uint8)
+    w[0] = (flip & mask).bit_count()
     for i in range(n):
-        w[1 << i : 2 << i] = w[: 1 << i] + (mask >> i & 1)
+        low = w[: 1 << i]  # setting bit i of x sets bit i of x ^ flip, or clears it
+        if mask >> i & 1:
+            low = low - 1 if flip >> i & 1 else low + 1
+        w[1 << i : 2 << i] = low
     return w
 
 
-def _cube_columns(n: int) -> list[int]:
-    """The columns of the whole cube: column ``v`` is runs of ``2**v`` zeros
-    and ``2**v`` ones, repeated from one byte pattern."""
+def _cube_columns(n: int, flip: int = 0) -> list[int]:
+    """The columns of the points ``x ^ flip`` of the whole cube, indexed by
+    ``x``: column ``v`` is runs of ``2**v`` zeros and ``2**v`` ones,
+    repeated from one byte pattern, and its complement where ``flip`` has
+    bit ``v``."""
     _require_table_cap(n)
     size, full = max(1 << n >> 3, 1), (1 << (1 << n)) - 1  # full trims the byte of n < 3
     cols = []
     for v in range(n):
         run = 1 << v >> 3  # bytes of a run
         pattern = bytes(run) + b"\xff" * run if run else (b"\xaa", b"\xcc", b"\xf0")[v]
-        cols.append(int.from_bytes(pattern * (size // len(pattern)), "little") & full)
+        col = int.from_bytes(pattern * (size // len(pattern)), "little") & full
+        cols.append(col ^ full if flip >> v & 1 else col)
     return cols
 
 
@@ -211,48 +222,75 @@ def _falsified(clauses: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # Per-query scans see a point as its ``BitString.bits`` integer and the rows
-# (terms or clauses) as Python-int bitsets over the rows, one table per hex
-# digit of the point (coordinates ``4k .. 4k + 3``).  The entry of a digit
-# value is the bitset of rows with a variable among that digit's
-# 0-coordinates, so the rows hit by a point are those in no entry it reads.
-# A table set is ``ceil(n/4)`` digits of 15 nonzero bitsets of ``N`` bits,
-# about four times the ``N * ceil(n/64)`` words of a packed bit matrix.
+# (terms or clauses) as Python-int bitsets over the rows, one table per
+# chunk of the point: a hex digit (coordinates ``4k .. 4k + 3``) or a byte
+# (``8k .. 8k + 7``).  The entry of a chunk value is the bitset of rows
+# whose variables inside the chunk all read 1 in it, so the rows hit by a
+# point are those in every entry it reads.  A table set is ``ceil(n/w)``
+# chunks of ``2**w`` bitsets of ``N`` bits (:func:`_table_bytes`).  The
+# term tables of a two-level instance, built once and read by each of the
+# attack's ~1 100 queries, are byte-wide while the set stays under
+# ``BYTE_TABLE_BOUND`` (:func:`_term_width`).  The rest stay hex: the
+# clause tables of a two-level term, built on a query's first visit and
+# read by the few queries that reach that term, and the term tables of the
+# flipped DNF (~8 queries per attack) and the single-level families.
 
-_HEX = "0123456789abcdef"
+
+def _table_bytes(n: int, rows: int, width: int) -> int:
+    """Bitset bytes of a table set of ``rows`` rows over ``n`` coordinates,
+    ``width`` coordinates to a table (Python-int headers left out)."""
+    return -(-n // width) * (1 << width) * -(-rows // 8)
+
+
+def _term_width(n: int, rows: int) -> int:
+    """Chunk width of a term table set: a byte while the set fits under
+    ``BYTE_TABLE_BOUND`` (426 KB at n=100, N=1024; 67 MB at n=256,
+    N=2**16), else a hex digit."""
+    return 8 if _table_bytes(n, rows, 8) <= BYTE_TABLE_BOUND else 4
 
 
 class _Tables(NamedTuple):
-    """Per-hex-digit row tables; ``digits`` runs from the highest digit
-    down, in the order ``format(bits, fmt)`` writes them."""
+    """Per-chunk row tables; ``chunks`` runs from the highest chunk down,
+    in the order ``split(bits)`` yields a point's chunk values."""
 
-    full: int  # the bitset of every row
-    fmt: str
-    digits: tuple[dict[str, int], ...]
-
-
-def _pack(rows: np.ndarray) -> _Tables:
-    """Per-hex-digit tables of a boolean ``(rows, n)`` matrix."""
-    n = rows.shape[1]
-    cols = _columns(rows)
-    cols += [0] * (-n % 4)  # coordinates past n are never set in a point
-    digits = []
-    for k in range(0, n, 4):
-        # entry d is the OR of the columns at the 0-bits of d: 11 ORs
-        a, b, c, d = cols[k : k + 4]
-        ab, cd = a | b, c | d
-        digits.append(dict(zip(_HEX, (
-            ab | cd, b | cd, a | cd, cd, ab | d, b | d, a | d, d,
-            ab | c, b | c, a | c, c, ab, b, a, 0,
-        ))))
-    digits.reverse()
-    return _Tables((1 << len(rows)) - 1, f"0{len(digits)}x", tuple(digits))
+    split: Callable[[int], Iterable]
+    chunks: tuple[Sequence[int] | dict[str, int], ...]
 
 
-def _pack_members(n: int, members: np.ndarray) -> _Tables:
+def _nibble(a: int, b: int, c: int, d: int, full: int) -> dict[str, int]:
+    """The table of one hex digit, keyed by the digit ``format`` writes,
+    from the bitsets ``a..d`` of the rows with no variable at each of its
+    four coordinates, lowest first: entry ``v`` is the AND of those at the
+    0-bits of ``v`` (``full``, every row, for ``v = 15``), in 11 ANDs."""
+    ab, cd = a & b, c & d
+    return {"0": ab & cd, "1": b & cd, "2": a & cd, "3": cd, "4": ab & d, "5": b & d,
+            "6": a & d, "7": d, "8": ab & c, "9": b & c, "a": a & c, "b": c,
+            "c": ab, "d": b, "e": a, "f": full}
+
+
+def _pack(rows: np.ndarray, width: int = 4) -> _Tables:
+    """Tables of a boolean ``(rows, n)`` matrix, one per hex digit
+    (``width=4``, keyed by the digit ``format`` writes) or per byte
+    (``width=8``, indexed by the byte ``int.to_bytes`` writes)."""
+    n, full = rows.shape[1], (1 << len(rows)) - 1
+    free = [full ^ col for col in _columns(rows)]  # per coordinate, the rows without it
+    free += [full] * (-n % width)  # coordinates past n are never set in a point
+    chunks = [_nibble(*free[k : k + 4], full) for k in range(0, len(free), 4)]
+    if width == 4:
+        split = f"{{:0{len(chunks)}x}}".format
+    else:  # entry v of a byte is entry v >> 4 of its high digit & entry v & 15 of its low one
+        chunks = [[h & lo for h in high.values() for lo in low.values()]
+                  for low, high in zip(chunks[::2], chunks[1::2])]
+        split = methodcaller("to_bytes", len(chunks), "big")
+    chunks.reverse()
+    return _Tables(split, tuple(chunks))
+
+
+def _pack_members(n: int, members: np.ndarray, width: int = 4) -> _Tables:
     """Tables of rows of variable indices (duplicates allowed)."""
     rows = np.zeros((len(members), n), dtype=bool, order="F")  # rows.T is contiguous
     rows[np.arange(len(members))[:, None], members] = True
-    return _pack(rows)
+    return _pack(rows, width)
 
 
 def _hits(bits: int, tables: _Tables) -> list[int]:
@@ -260,8 +298,8 @@ def _hits(bits: int, tables: _Tables) -> list[int]:
     all set in the point ``bits``, ascending; the multiplexer tells apart
     only none, one and several.  Clauses falsified by ``x`` are the rows hit
     by the complement of ``x``.  An empty row is hit by every point."""
-    full, fmt, digits = tables
-    hit = full & ~reduce(or_, map(getitem, digits, format(bits, fmt)))
+    split, chunks = tables
+    hit = reduce(and_, map(getitem, chunks, split(bits)))
     if not hit:
         return []
     low = hit & -hit
@@ -397,7 +435,7 @@ class MonoInstance:
         self._terms = np.ascontiguousarray(terms, dtype=np.int32)
         self.N = self._terms.shape[0]
         self.m = self._terms.shape[1]
-        self._term_tables = _pack_members(n, self._terms)
+        self._term_tables = _pack_members(n, self._terms, _term_width(n, self.N))
         self._pinned = clauses is not None
         self._rows: dict[tuple[str, int], np.ndarray] = {}
         if self._pinned:
@@ -408,6 +446,7 @@ class MonoInstance:
         self.band_low = n / 2 - sq
         self.band_high = n / 2 + sq
         self.negated = world == "no"
+        self._ones = (1 << n) - 1  # the clause scan reads the complement of a query
 
     # -- sampling ---------------------------------------------------------
 
@@ -491,42 +530,48 @@ class MonoInstance:
 
     def falsified_clauses(self, i: int, x: BitString) -> list[int]:
         """Indices of the first two clauses of row ``i`` falsified by x."""
+        return _hits(x.bits ^ self._ones, self._clause_tables(i))
+
+    def _clause_tables(self, i: int) -> _Tables:
+        """The scan tables of term ``i``'s clause block, built on first use."""
         tables = self._rows.get(("clause_tables", i))
         if tables is None:
             tables = self._rows["clause_tables", i] = _pack_members(self.n, self.clause_block(i))
-        return _hits(x.bits ^ ((1 << self.n) - 1), tables)
+        return tables
+
+    def _step(self, bits: int) -> int | tuple[int, int]:
+        """The two-level multiplexer at the point ``bits``, the one copy of
+        its logic: the forced value, 0 or 1, or the unique cell ``(i, j)``."""
+        sat = _hits(bits, self._term_tables)
+        if len(sat) != 1:
+            return len(sat) >> 1  # none forces 0, two or more force 1
+        i = sat[0]
+        fals = _hits(bits ^ self._ones, self._clause_tables(i))
+        if len(fals) != 1:
+            return 1 - (len(fals) >> 1)  # none forces 1, two or more force 0
+        return i, fals[0]
 
     def route(self, x: BitString) -> Route:
         """Two-level multiplexer: forced constant or the unique cell."""
-        sat = self.satisfied_terms(x)
-        if not sat:
-            return Route.zero()
-        if len(sat) >= 2:
-            return Route.one()
-        i = sat[0]
-        fals = self.falsified_clauses(i, x)
-        if not fals:
-            return Route.one()
-        if len(fals) >= 2:
-            return Route.zero()
-        return Route.cell(i, fals[0])
+        step = self._step(x.bits)
+        if isinstance(step, tuple):
+            return Route.cell(*step)
+        return Route.one() if step else Route.zero()
 
     def value(self, x: BitString) -> int:
         if x.n != self.n:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
-        wc = self.weight_class(x)
-        if wc == "low":
+        bits = x.bits
+        w = bits.bit_count()
+        if w < self.band_low:
             return 0
-        if wc == "high":
+        if w > self.band_high:
             return 1
-        r = self.route(x)
-        if r.kind == "zero":
-            return 0
-        if r.kind == "one":
-            return 1
-        k = int(self.dict_row(r.i)[r.j])
-        v = x[k]
-        return 1 - v if self.negated else v
+        step = self._step(bits)
+        if isinstance(step, int):
+            return step
+        i, j = step
+        return bits >> int(self.dict_row(i)[j]) & 1 ^ self.negated
 
     def _route_block(self, among: int, block: np.ndarray | None = None):
         """The multiplexer over the points ``among`` of a ``band_points``
@@ -681,9 +726,7 @@ class FlippedDnfInstance:
         return int(wc == "high")
 
     def truth_table(self) -> np.ndarray:
-        cols, full = _cube_columns(self.n), (1 << (1 << self.n)) - 1
-        # the columns of the flipped points x ^ s, indexed by x
-        cols = [c ^ full if v in self.flip_coords else c for v, c in enumerate(cols)]
+        cols = _cube_columns(self.n, self.flip_coords.mask)  # of the flipped points x ^ s
         high, mid = _band_bits(_cube_weights(self.n), self.band_low, self.band_high)
         two, sole = _sole(cols, self._terms.tolist(), mid)
         return _unpack(reduce(or_, sole, high | two), 1 << self.n)
@@ -919,13 +962,14 @@ class UnateInstance:
             raise ValueError(f"query has n={x.n}, instance has n={self.n}")
         return self.base_value(x.xor(self.orientation))
 
-    def _base_block(self, block: np.ndarray | None = None) -> tuple[int, list[int]]:
+    def _base_block(self, block: np.ndarray | None = None, flip: int = 0) -> tuple[int, list[int]]:
         """The de-oriented function over a ``band_points`` block, or over
-        the whole cube when ``block`` is ``None``: the bitset of the points
-        where it reads 1 and, per term, the bitset of the in-band points
-        routed to that term where it reads 0."""
+        the whole cube when ``block`` is ``None``, where point ``x`` reads
+        it at ``x ^ flip``: the bitset of the points where it reads 1 and,
+        per term, the bitset of the in-band points routed to that term
+        where it reads 0."""
         if block is None:
-            cols, weights = _cube_columns(self.n), _cube_weights(self.n, self._m_mask)
+            cols, weights = _cube_columns(self.n, flip), _cube_weights(self.n, self._m_mask, flip)
         else:
             rows = _block_rows(block, self.n)
             cols, weights = _columns(rows), rows[:, self.M_sorted].sum(axis=1)
@@ -942,9 +986,8 @@ class UnateInstance:
         return _unpack(self._base_block()[0], 1 << self.n)
 
     def truth_table(self) -> np.ndarray:
-        base = self.base_truth_table()
-        idx = np.arange(1 << self.n, dtype=np.int64) ^ self.orientation.bits
-        return base[idx]
+        """Entry ``t`` is the base value at ``t ^ orientation``."""
+        return _unpack(self._base_block(flip=self.orientation.bits)[0], 1 << self.n)
 
     def to_json(self) -> dict:
         return {

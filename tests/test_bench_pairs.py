@@ -73,7 +73,11 @@ def test_report_keeps_the_shape_of_the_checked_in_reports():
     summary = bench_pairs.summarise(runs, METRICS)
     old = json.loads((ROOT / "BENCH_transcript.json").read_text())
     assert _shape(summary["mc-n16"]) == _shape(old["summary"]["mc-n16"])
-    assert _shape(runs[0]) == _shape(old["runs"][0])
+    # older reports keep no speed-factor line
+    first = dict(runs[0])
+    assert first.pop("speed_factor_line") == (
+        "speed_factor=1.02 unscaled ops_per_s=100 op_ms_p50=10 op_ms_p90=20 setup_s=0.2")
+    assert _shape(first) == _shape(old["runs"][0])
     assert _shape(bench_pairs.machine()).keys() == old["machine"].keys()
 
     rate = summary["mc-n16"]["ops_per_s"]
@@ -113,6 +117,9 @@ def test_checked_in_reports_match_their_own_runs(path):
     # compared, not the quartiles, which older reports computed another way
     report = json.loads(path.read_text())
     summary = bench_pairs.summarise(report["runs"], METRICS)
+    for run in report["runs"]:  # the speed-factor line is absent from older reports
+        line = run.get("speed_factor_line", "speed_factor=1 unscaled")
+        assert line.startswith("speed_factor=") and " unscaled" in line, line
     assert summary.keys() == report["summary"].keys()
     for workload, got in summary.items():
         stored = report["summary"][workload]

@@ -272,6 +272,75 @@ class TestRngStream:
         with pytest.raises(ValueError):
             s.sample_without_replacement(range(3), 4)
 
+    @staticmethod
+    def _sampler_record(seed: int) -> list:
+        """Samples of k = 0, 1, a third and all of pools of 0 to 100 items
+        (k = len(pool) ends on upper 1), a shuffle of each pool, and the
+        calls used, all on one stream."""
+        s = RngStream(seed, "sampler-pin")
+        out = []
+        for size in (0, 1, 2, 7, 45, 100):
+            pool = list(range(3, 3 + 2 * size, 2))
+            for k in sorted({0, min(1, size), size // 3, size}):
+                out.append(s.sample_without_replacement(pool, k))
+            items = list(pool)
+            s.shuffle(items)
+            out.append(items)
+        out.append(s._calls)
+        return out
+
+    # blake2b of the repr of _sampler_record, as the per-draw samplers gave
+    SAMPLER_DIGESTS = {
+        1: "4660a89016c9d2fe7a12d94e51195320",
+        7: "9e67c39cdc16359ac5233cf16e487b4c",
+        2**40 + 3: "7dfbf640e9d4aed4e13e4443fda9a9b0",
+    }
+
+    def test_samplers_pinned(self):
+        got = {seed: self._digest(self._sampler_record(seed)) for seed in self.SAMPLER_DIGESTS}
+        assert got == self.SAMPLER_DIGESTS
+        assert self._sampler_record(1)[-1] == 359  # one call index per swap step
+
+    @staticmethod
+    def _slow_sample(s: RngStream, pool, k: int) -> list:
+        items = list(pool)
+        for i in range(k):
+            j = i + s.draw(len(items) - i) - 1
+            items[i], items[j] = items[j], items[i]
+        return items[:k]
+
+    @staticmethod
+    def _slow_shuffle(s: RngStream, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = s.draw(i + 1) - 1
+            items[i], items[j] = items[j], items[i]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), size=st.integers(0, 60), data=st.data())
+    def test_samplers_match_the_per_draw_twins(self, seed, size, data):
+        k = data.draw(st.integers(0, size))
+        pool = list(range(size))
+        fast, slow = RngStream(seed, "swr"), RngStream(seed, "swr")
+        assert fast.sample_without_replacement(pool, k) == self._slow_sample(slow, pool, k)
+        assert fast._calls == slow._calls == k
+        a, b = list(pool), list(pool)
+        fast.shuffle(a)
+        self._slow_shuffle(slow, b)
+        assert a == b and fast._calls == slow._calls == k + max(size - 1, 0)
+        assert fast.draw(1000) == slow.draw(1000)
+
+    # uppers past 2**63 reject about half their words; 2**64 rejects none,
+    # and 2**64 - 1 only the word 2**64 - 1
+    @pytest.mark.parametrize("upper", [2**63 + 1, 2**63 + 3, 3 * 2**62 + 1, 2**64 - 1, 2**64])
+    def test_batched_draws_take_the_rejection_path_of_draw(self, upper):
+        fast, slow = RngStream(3, "reject"), RngStream(3, "reject")
+        uppers = [upper, 1, upper, 2] * 25
+        assert fast._draws(uppers) == [slow.draw(u) for u in uppers]
+        assert fast._calls == slow._calls == len(uppers)
+        limit = 2**64 - 2**64 % upper
+        rejected = sum(RngStream(3, "reject")._word(i, 0) >= limit for i in range(0, 100, 2))
+        assert rejected > 10 if upper < 2**64 - 1 else rejected == 0
+
 
 class TestDeriveGenerator:
     def test_deterministic(self):

@@ -33,11 +33,14 @@ from cubetest.families import (
     _block_rows,
     _columns,
     _cube_columns,
+    BYTE_TABLE_BOUND,
     _hits,
     _pack,
     _pack_members,
     _sole,
+    _table_bytes,
     _term_masks,
+    _term_width,
     sample_instance,
 )
 
@@ -182,7 +185,7 @@ def test_handbuilt_instances_match_their_twins(inst):
 # The per-query kernel at hex-digit and word boundaries
 # ---------------------------------------------------------------------------
 
-_WIDTHS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 100, 128, 129]
+_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 128, 129]
 
 
 def _first_two_rows(rows: list[list[int]], hit) -> list[int]:
@@ -192,10 +195,10 @@ def _first_two_rows(rows: list[list[int]], hit) -> list[int]:
 @st.composite
 def _rows_and_point(draw):
     """Rows of variable indices, some empty, biased to the variables next
-    to a hex-digit or word boundary, and a point of density about one half
-    or three quarters."""
+    to a hex-digit, byte or word boundary, and a point of density about one
+    half or three quarters."""
     n = draw(st.sampled_from(_WIDTHS))
-    edge = sorted({v for v in (0, 3, 4, 15, 16, 62, 63, 64, 65, 127, 128, n - 1) if v < n})
+    edge = sorted({v for v in (0, 3, 4, 7, 8, 15, 16, 62, 63, 64, 65, 127, 128, n - 1) if v < n})
     var = st.one_of(st.sampled_from(edge), st.integers(0, n - 1))
     rows = draw(st.lists(st.lists(var, max_size=5), min_size=1, max_size=12))
     full = (1 << n) - 1
@@ -210,11 +213,15 @@ def _rows_and_point(draw):
 def test_hits_matches_the_plain_loop(case):
     n, rows, bits = case
     x = BitString(n, bits)
-    tables = _pack(_term_masks(n, rows))
     satisfied = _first_two_rows(rows, lambda row: all(x[v] for v in row))
-    assert _hits(bits, tables) == satisfied
     falsified = _first_two_rows(rows, lambda row: not any(x[v] for v in row))
-    assert _hits(bits ^ ((1 << n) - 1), tables) == falsified
+    assert satisfied == _first_two_rows(rows, lambda row: Term(n, tuple(row)).satisfied_by(x))
+    assert falsified == _first_two_rows(rows, lambda row: Clause(n, tuple(row)).falsified_by(x))
+    for width in (4, 8):  # hex and byte-wide tables
+        tables = _pack(_term_masks(n, rows), width)
+        assert len(tables.chunks) == -(-n // width)
+        assert _hits(bits, tables) == satisfied
+        assert _hits(bits ^ ((1 << n) - 1), tables) == falsified
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,10 +245,55 @@ def test_term_and_clause_masks_match_their_definitions(case):
 def test_index_rows_pack_like_boolean_rows(case):
     # duplicates allowed, as in the sampled term and clause rows
     n, rows, points = case
-    got = _pack_members(n, np.asarray(rows, dtype=np.int32))
-    want = _pack(_term_masks(n, rows))
-    for bits in points:
-        assert _hits(bits, got) == _hits(bits, want)
+    for width in (4, 8):
+        got = _pack_members(n, np.asarray(rows, dtype=np.int32), width)
+        want = _pack(_term_masks(n, rows), width)
+        for bits in points:
+            assert _hits(bits, got) == _hits(bits, want)
+
+
+def test_term_tables_are_byte_wide_while_they_fit():
+    # the size formula decides; no n=256 instance (67 MB of byte tables)
+    # is built
+    assert _table_bytes(100, 1024, 8) == 13 * 256 * 128 <= BYTE_TABLE_BOUND
+    assert _table_bytes(256, 2**16, 8) == 32 * 256 * 8192 > BYTE_TABLE_BOUND
+    assert _term_width(100, 1024) == 8 and _term_width(256, 2**16) == 4
+    assert _table_bytes(256, 2**16, 4) == 64 * 16 * 8192  # the hex set, an eighth of it
+    inst = MonoInstance.sample(100, "no", 3)
+    assert len(inst._term_tables.chunks) == 13  # a byte per table
+    inst.value(BitString(100, 0))
+    inst.falsified_clauses(0, BitString(100, 0))
+    assert len(inst._rows["clause_tables", 0].chunks) == 25  # clause tables stay hex
+    # so do the term tables of the families whose attacks ask few queries
+    assert len(sample_instance("flipdnf", 100, "no", 3, term_len=10)._term_tables.chunks) == 25
+    assert len(sample_instance("unate", 100, "no", 3)._term_tables.chunks) == 25
+
+
+def _route_value(inst: MonoInstance, x: BitString) -> int:
+    """The value read from the band class and the ``Route`` of ``x``."""
+    band = inst.weight_class(x)
+    if band != "middle":
+        return int(band == "high")
+    r = inst.route(x)
+    if r.kind != "cell":
+        return int(r.kind == "one")
+    return inst.dictator(r.i, r.j).value_at(x)
+
+
+# n=10 with 8-term rows has a band [1.84, 8.16] with fractional edges
+@pytest.mark.parametrize("n, term_len", [(10, 3), (16, None), (100, None)])
+@pytest.mark.parametrize("world", ["yes", "no"])
+def test_lean_value_matches_the_route_reading_at_the_band_edges(n, term_len, world):
+    inst = MonoInstance.sample(n, world, 11, term_len=term_len)
+    lo, hi = math.ceil(inst.band_low), math.floor(inst.band_high)
+    rng = RngStream(11, "band-edges")
+    kinds = set()
+    for w in (lo - 1, lo, (lo + hi) // 2, hi, hi + 1):
+        for _ in range(150):
+            x = BitString.from_indices(n, rng.sample_without_replacement(range(n), w))
+            assert inst.value(x) == _route_value(inst, x), (w, x)
+            kinds.add(inst.weight_class(x) if inst.weight_class(x) != "middle" else inst.route(x).kind)
+    assert kinds == {"low", "high", "zero", "one", "cell"}
 
 
 # ---------------------------------------------------------------------------
