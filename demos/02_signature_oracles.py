@@ -39,7 +39,8 @@ print("\ninduced tuple after 5 queries:")
 print("  tracked terms I =", sorted(t.I))
 for i in sorted(t.I):
     print(f"  |P_{i}|={len(t.P[i])} |R_{i}|={len(t.R[i])} "
-          f"|A_(i,1)|={len(t.A1[i])} |A_(i,0)|={len(t.A0[i])} J_{i}={sorted(t.J[i])}")
+          f"|A_(i,1)|={t.A1[i].bit_count()} |A_(i,0)|={t.A0[i].bit_count()} "
+          f"J_{i}={sorted(t.J[i])}")
 print("  structural axioms violated:", t.check_axioms() or "none")
 
 try:

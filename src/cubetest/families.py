@@ -511,10 +511,10 @@ class MonoInstance:
         return self._derive("dict", i, self.N) if row is None else row
 
     def term(self, i: int) -> Term:
-        return Term(self.n, tuple(int(v) for v in self._terms[i]))
+        return Term(self.n, tuple(self._terms[i].tolist()))
 
     def clause(self, i: int, j: int) -> Clause:
-        return Clause(self.n, tuple(int(v) for v in self.clause_block(i)[j]))
+        return Clause(self.n, tuple(self.clause_block(i)[j].tolist()))
 
     def dictator(self, i: int, j: int) -> Dictator:
         return Dictator(int(self.dict_row(i)[j]), negated=self.negated)
@@ -712,7 +712,7 @@ class FlippedDnfInstance:
         return cls(n, world, terms=t, flip_set=IndexSet(n, flip), seed=seed)
 
     def term(self, i: int) -> Term:
-        return Term(self.n, tuple(int(v) for v in self._terms[i]))
+        return Term(self.n, tuple(self._terms[i].tolist()))
 
     def dnf_value(self, x: BitString) -> int:
         return int(bool(_hits(x.bits, self._term_tables)))
@@ -919,7 +919,7 @@ class UnateInstance:
         )
 
     def term(self, i: int) -> Term:
-        return Term(self.n, tuple(int(v) for v in np.flatnonzero(self._masks[i])))
+        return Term(self.n, tuple(np.flatnonzero(self._masks[i]).tolist()))
 
     def dictator(self, i: int) -> Dictator:
         return Dictator(int(self._dict_vars[i]), bool(self._dict_negated[i]))

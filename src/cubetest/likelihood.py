@@ -4,7 +4,7 @@ For a fixed multiplexer (terms and clauses), the probability that a random
 dictator assignment reproduces a transcript factors over the tracked
 cells; this module implements those closed forms and, next to each one, a
 brute-force counterpart that enumerates the hidden randomness directly and
-never touches the transcript's set bookkeeping.  The pairs are kept
+never touches the transcript's bitset bookkeeping.  The pairs are kept
 deliberately independent: agreement between them is the correctness
 argument for both.
 
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BitString, ResourceLimitError, RngStream
+from .core import BitString, ResourceLimitError, RngStream, _set_bits
 from .families import MonoInstance, OneLevelInstance, UnateInstance
 from .sigoracle import ClausePattern, TermPattern
 from .transcripts import (
@@ -108,7 +108,7 @@ def _closed_product(
 ) -> LeafLikelihood:
     """Product over the tracked keys of ``t.rho`` (sorted, all consistent)
     of |A_rho| / n (yes, dictator) and |A_(1-rho)| / n (no, anti-dictator),
-    the agreement sets being ``A1``/``A0``; ``inconsistent`` formats the
+    the agreement bitsets being ``A1``/``A0``; ``inconsistent`` formats the
     error for the first key that is not consistent."""
     for key, values in t.rho.items():
         if _status(values.values()) == "inconsistent":
@@ -120,8 +120,8 @@ def _closed_product(
     p_no = 1.0
     for key, values in sorted(t.rho.items()):
         rho = next(iter(values.values()))
-        size_rho = len(A1[key] if rho == 1 else A0[key])
-        size_other = len(A0[key] if rho == 1 else A1[key])
+        size_rho = (A1[key] if rho == 1 else A0[key]).bit_count()
+        size_other = (A0[key] if rho == 1 else A1[key]).bit_count()
         p_yes *= size_rho / n
         p_no *= size_other / n
     return LeafLikelihood(p_yes, p_no)
@@ -236,12 +236,11 @@ def unate_transcript_likelihood(
     n, reps, alphas = _unate_setup(inst, t)
 
     p_no = (1.0 / n) ** len(t.I_B)
+    constraints: dict[int, tuple[int, ...]] = {}  # i in I_S -> candidate coords
     for i in sorted(t.I_S):
-        p_no *= len(t.common_coords(i) & t.Mbar) / n
-
-    constraints: dict[int, list[int]] = {}  # i in I_S -> candidate coords
-    for i in sorted(t.I_S):
-        constraints[i] = sorted(t.common_coords(i) & t.Mbar)
+        free = t.common_coords(i) & t.Mbar
+        p_no *= free.bit_count() / n
+        constraints[i] = _set_bits(free)
     coords = sorted({t.delta[i] for i in t.I_B}.union(*constraints.values()))
 
     # An assignment of the orientation on ``coords`` is an int ``a`` with
@@ -312,7 +311,7 @@ def unate_likelihood_bruteforce(inst: UnateInstance, t: UnateTranscript) -> Unat
     if not _single_level_patterns_match(inst, t):
         return UnateLikelihood(0.0, 0.0)
     n = inst.n
-    mbar = sorted(t.Mbar)
+    mbar = _set_bits(t.Mbar)
     if len(mbar) > EXHAUSTIVE_CAP:
         raise ResourceLimitError(
             f"|Mbar|={len(mbar)} exceeds the brute-force cap {EXHAUSTIVE_CAP}"

@@ -9,7 +9,7 @@ the *induced tuple* it determines:
 * ``P`` / ``R`` -- queries known to satisfy / not satisfy each tracked
   term (and, two-level, to falsify / satisfy each tracked clause);
 * ``A`` -- coordinates on which all members of a ``P`` set agree, split by
-  the common value;
+  the common value, as coordinate bitsets (bit ``v`` is coordinate ``v``);
 * ``rho`` -- the observed dictator values per tracked cell (two-level)
   or term (single-level).
 
@@ -119,6 +119,11 @@ class EdgeClass:
 # ---------------------------------------------------------------------------
 
 
+def _meet(n: int, sets: Iterable[set[int]]) -> int:
+    """The coordinate bitset of the intersection of ``sets``."""
+    return BitString.from_indices(n, set.intersection(*sets)).bits
+
+
 def _outside_term(sig, i: int) -> bool:
     """The query is known not to satisfy term ``i``."""
     return sig.term.entry(i) == 0
@@ -140,8 +145,8 @@ class _Transcript:
         self.I: set[int] = set()
         self.P: dict[int, list[int]] = {}
         self.R: dict[int, list[int]] = {}
-        self.A1: dict[int, set[int]] = {}
-        self.A0: dict[int, set[int]] = {}
+        self.A1: dict[int, int] = {}
+        self.A0: dict[int, int] = {}
         self.rho: dict = {}
         self.bad_edge: Optional[EdgeClass] = None
         self.edge_classes: list[Optional[EdgeClass]] = []
@@ -161,13 +166,13 @@ class _Transcript:
         for key in keys:
             if key in P:
                 P[key].append(qidx)
-                A1[key] = {v for v in A1[key] if b >> v & 1}
-                A0[key] = {v for v in A0[key] if not b >> v & 1}
+                A1[key] &= b
+                A0[key] &= ~b
             else:
                 new.append(key)
                 P[key] = [qidx]
-                A1[key] = set(x.one_indices())
-                A0[key] = set(x.zero_indices())
+                A1[key] = b
+                A0[key] = ((1 << self.n) - 1) ^ b
                 R[key] = [q for q, (_, s) in enumerate(self.queries[:qidx]) if outside(s, key)]
         return new
 
@@ -214,8 +219,8 @@ class MonoTranscript(_Transcript):
         self.J: dict[int, set[int]] = {}
         self.Pij: dict[tuple[int, int], list[int]] = {}
         self.Rij: dict[tuple[int, int], list[int]] = {}
-        self.Aij1: dict[tuple[int, int], set[int]] = {}
-        self.Aij0: dict[tuple[int, int], set[int]] = {}
+        self.Aij1: dict[tuple[int, int], int] = {}
+        self.Aij0: dict[tuple[int, int], int] = {}
 
     def _record(self, q: int) -> dict:
         def upto(tracked: dict) -> dict:
@@ -270,9 +275,9 @@ class MonoTranscript(_Transcript):
                     bad.append(f"|R_({i},{j})| > |Q|")
                 if not set(self.Pij[(i, j)]) <= set(self.P[i]):
                     bad.append(f"P_({i},{j}) not within P_{i}")
-                if not self.A0[i] <= self.Aij0[(i, j)]:
+                if self.A0[i] & ~self.Aij0[(i, j)]:
                     bad.append(f"A_({i},0) not within A_({i},{j},0)")
-                if not self.A1[i] <= self.Aij1[(i, j)]:
+                if self.A1[i] & ~self.Aij1[(i, j)]:
                     bad.append(f"A_({i},1) not within A_({i},{j},1)")
                 for q in self.Pij[(i, j)]:
                     x = self.queries[q][0].bits
@@ -281,7 +286,7 @@ class MonoTranscript(_Transcript):
                         if q2 == q:
                             continue
                         lost += (x & ~self.queries[q2][0].bits).bit_count()
-                    if len(self.Aij1[(i, j)]) < x.bit_count() - lost:
+                    if self.Aij1[(i, j)].bit_count() < x.bit_count() - lost:
                         bad.append(f"pairwise count bound fails at ({i},{j})")
         return bad
 
@@ -295,14 +300,14 @@ class MonoTranscript(_Transcript):
         bad: list[str] = []
         for i in self.I:
             term = inst.term(i)
-            if not set(term.vars) <= self.A1[i]:
+            if term.mask & ~self.A1[i]:
                 bad.append(f"term {i} variables escape A_(i,1)")
             for q in self.R[i]:
                 if term.satisfied_by(self.queries[q][0]):
                     bad.append(f"term {i} satisfied by a member of R_{i}")
         for (i, j), rij in self.Rij.items():
             clause = inst.clause(i, j)
-            if not set(clause.vars) <= self.Aij0[(i, j)]:
+            if clause.mask & ~self.Aij0[(i, j)]:
                 bad.append(f"clause ({i},{j}) variables escape A_(i,j,0)")
             for q in rij:
                 if clause.falsified_by(self.queries[q][0]):
@@ -313,8 +318,9 @@ class MonoTranscript(_Transcript):
 def induced_mono_tuple(queries: list[tuple[BitString, FullSignature]]) -> MonoTranscript:
     """From-scratch recomputation of the induced tuple (definitional).
 
-    Written directly off the set definitions rather than incrementally, so
-    it serves as an independent oracle against :meth:`MonoTranscript.extend`.
+    Written directly off the set definitions rather than incrementally (the
+    agreement sets turn into bitsets once intersected), so it serves as an
+    independent oracle against :meth:`MonoTranscript.extend`.
     """
     if not queries:
         t = MonoTranscript(1)
@@ -331,8 +337,8 @@ def induced_mono_tuple(queries: list[tuple[BitString, FullSignature]]) -> MonoTr
     for i in all_i:
         t.P[i] = [q for q, (_, _, s) in enumerate(members) if s.term.entry(i) == 1]
         t.R[i] = [q for q, (_, _, s) in enumerate(members) if s.term.entry(i) == 0]
-        t.A1[i] = set.intersection(*(members[q][0] for q in t.P[i]))
-        t.A0[i] = set.intersection(*(members[q][1] for q in t.P[i]))
+        t.A1[i] = _meet(n, (members[q][0] for q in t.P[i]))
+        t.A0[i] = _meet(n, (members[q][1] for q in t.P[i]))
         uniq = [
             q
             for q, (_, _, s) in enumerate(members)
@@ -342,8 +348,8 @@ def induced_mono_tuple(queries: list[tuple[BitString, FullSignature]]) -> MonoTr
         for j in sorted(t.J[i]):
             t.Pij[(i, j)] = [q for q in uniq if members[q][2].clause.entry(j) == 0]
             t.Rij[(i, j)] = [q for q in uniq if members[q][2].clause.entry(j) == 1]
-            t.Aij1[(i, j)] = set.intersection(*(members[q][0] for q in t.Pij[(i, j)]))
-            t.Aij0[(i, j)] = set.intersection(*(members[q][1] for q in t.Pij[(i, j)]))
+            t.Aij1[(i, j)] = _meet(n, (members[q][0] for q in t.Pij[(i, j)]))
+            t.Aij0[(i, j)] = _meet(n, (members[q][1] for q in t.Pij[(i, j)]))
             t.rho[(i, j)] = {}
             for q in t.Pij[(i, j)]:
                 sig = members[q][2]
@@ -384,7 +390,7 @@ def classify_mono_edge(
     found: list[EdgeClass] = []
 
     for i in sorted(set(sig.term.members()) & t.I):
-        if sum(not b >> v & 1 for v in t.A1[i]) >= cfg.mono_drop:
+        if (t.A1[i] & ~b).bit_count() >= cfg.mono_drop:
             found.append(EdgeClass("E1", i))
             break
     cells: list[tuple[int, int]] = []
@@ -392,7 +398,7 @@ def classify_mono_edge(
         i = sig.term.first
         cells = [(i, j) for j in sig.clause.zero_members() if (i, j) in t.Pij]
     for (i, j) in cells:
-        if sum(b >> v & 1 for v in t.Aij0[(i, j)]) >= cfg.mono_drop:
+        if (t.Aij0[(i, j)] & b).bit_count() >= cfg.mono_drop:
             found.append(EdgeClass("E2", i, j))
             break
     kinds = {e.kind for e in found}
@@ -426,8 +432,8 @@ class SingleLevelTranscript(_Transcript):
     def _record(self, q: int) -> dict:
         return {"sizes": {"queries": q + 1, "I": sum(1 for i in self.I if self.P[i][0] <= q)}}
 
-    def common_coords(self, i: int) -> set[int]:
-        """A_i: coordinates where all members of P_i agree (either value)."""
+    def common_coords(self, i: int) -> int:
+        """A_i, a bitset: the coordinates where all members of P_i agree."""
         return self.A1[i] | self.A0[i]
 
     def extend(self, x: BitString, sig: UnateSignature) -> None:
@@ -449,12 +455,8 @@ def induced_single_level_tuple(
     for i in sorted(t.I):
         t.P[i] = [q for q, s in enumerate(sigs) if s.term.entry(i) == 1]
         t.R[i] = [q for q, s in enumerate(sigs) if s.term.entry(i) == 0]
-        t.A1[i] = set.intersection(
-            *(set(queries[q][0].one_indices()) for q in t.P[i])
-        )
-        t.A0[i] = set.intersection(
-            *(set(queries[q][0].zero_indices()) for q in t.P[i])
-        )
+        t.A1[i] = _meet(t.n, (set(queries[q][0].one_indices()) for q in t.P[i]))
+        t.A0[i] = _meet(t.n, (set(queries[q][0].zero_indices()) for q in t.P[i]))
         t.rho[i] = {q: sigs[q].value_for(i) for q in t.P[i]}
     return t
 
@@ -463,15 +465,15 @@ class UnateTranscript(SingleLevelTranscript):
     """Single-level transcript plus breach bookkeeping.
 
     A tracked term is *breached* once its observed dictator values are
-    inconsistent or its agreement set outside ``M`` has shrunk to at most
-    the overlap floor n/10; at that moment the oracle reveals its special
-    variable, recorded in ``delta``.
+    inconsistent or its agreement set outside ``M`` (the bitset ``Mbar``)
+    has shrunk to at most the overlap floor n/10; at that moment the oracle
+    reveals its special variable, recorded in ``delta``.
     """
 
     def __init__(self, n: int, m_members: Iterable[int]):
         super().__init__(n)
         self.M = frozenset(int(i) for i in m_members)
-        self.Mbar = frozenset(range(n)) - self.M
+        self.Mbar = BitString.from_indices(n, set(range(n)) - self.M).bits
         self.I_B: set[int] = set()
         self.delta: dict[int, int] = {}
         self.breach_events: list[dict[int, int]] = []
@@ -483,7 +485,7 @@ class UnateTranscript(SingleLevelTranscript):
     def is_breached(self, i: int) -> bool:
         if _status(self.rho[i].values()) == "inconsistent":
             return True
-        return len(self.common_coords(i) & self.Mbar) <= self.n / 10.0
+        return (self.common_coords(i) & self.Mbar).bit_count() <= self.n / 10.0
 
     def snapshot(self) -> "UnateTranscript":
         c = UnateTranscript(self.n, self.M)
@@ -491,8 +493,7 @@ class UnateTranscript(SingleLevelTranscript):
         c.I = set(self.I)
         c.P = {i: list(v) for i, v in self.P.items()}
         c.R = {i: list(v) for i, v in self.R.items()}
-        c.A1 = {i: set(v) for i, v in self.A1.items()}
-        c.A0 = {i: set(v) for i, v in self.A0.items()}
+        c.A1, c.A0 = dict(self.A1), dict(self.A0)
         c.rho = {i: dict(v) for i, v in self.rho.items()}
         c.I_B = set(self.I_B)
         c.delta = dict(self.delta)
@@ -592,7 +593,7 @@ def classify_unate_edge(
         return EdgeClass()
     b = x.bits
     for i in sorted(set(sig.term.members()) & t.I_S):
-        drop = sum(not b >> v & 1 for v in t.A1[i]) + sum(b >> v & 1 for v in t.A0[i])
+        drop = (t.A1[i] & ~b).bit_count() + (t.A0[i] & b).bit_count()
         if drop >= cfg.unate_drop:
             return EdgeClass("E1", i)
     probe = t.snapshot()

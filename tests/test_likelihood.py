@@ -69,7 +69,7 @@ class TestMonoLeafLikelihood:
         )
         t.extend(x, sig)
         # force agreement with the toy's patterns by computing directly
-        out_sizes = (len(t.Aij1[(0, 1)]), len(t.Aij0[(0, 1)]))
+        out_sizes = (t.Aij1[(0, 1)].bit_count(), t.Aij0[(0, 1)].bit_count())
         assert out_sizes == (8, 8)
         p_yes = out_sizes[0] / 16
         p_no = out_sizes[1] / 16

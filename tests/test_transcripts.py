@@ -4,8 +4,17 @@ import hashlib
 
 import pytest
 
+from cubetest import transcripts
 from cubetest.core import BitString, RngStream
 from cubetest.families import MonoInstance, OneLevelInstance, UnateInstance
+from cubetest.likelihood import (
+    mono_leaf_likelihood,
+    mono_leaf_likelihood_bruteforce,
+    onelevel_outcome_likelihood,
+    onelevel_outcome_likelihood_bruteforce,
+    unate_likelihood_bruteforce,
+    unate_transcript_likelihood,
+)
 from cubetest.sigoracle import (
     ClausePattern,
     FullSignature,
@@ -41,6 +50,42 @@ def point(n, ones):
     return BitString.from_indices(n, ones)
 
 
+def hand_mask(points, ones: bool) -> int:
+    """The agreement bitset of ``points``, built here from their index
+    tuples: the coordinates where every point is 1 (``ones``) or 0."""
+    common = set(range(points[0].n))
+    for x in points:
+        common &= set(x.one_indices() if ones else x.zero_indices())
+    mask = 0
+    for v in common:
+        mask |= 1 << v
+    return mask
+
+
+def hand_masks(t, P: dict) -> dict:
+    """Per key of ``P``: (A1, A0) built by ``hand_mask`` from its members."""
+    out = {}
+    for key, members in P.items():
+        points = [t.queries[q][0] for q in members]
+        out[key] = (hand_mask(points, True), hand_mask(points, False))
+    return out
+
+
+def masks_of(A1: dict, A0: dict) -> dict:
+    return {key: (A1[key], A0[key]) for key in A1}
+
+
+def fields_of(t, names) -> dict:
+    """Copies of the named fields of ``t``, containers copied all the way
+    down (the points and signatures inside are immutable)."""
+    def dup(v):
+        if isinstance(v, dict):
+            return {k: dup(w) for k, w in v.items()}
+        return type(v)(map(dup, v)) if isinstance(v, (list, set)) else v
+
+    return {name: dup(getattr(t, name)) for name in names}
+
+
 class TestMonoTranscriptUpdates:
     def test_singleton_creation(self):
         t = MonoTranscript(16)
@@ -50,8 +95,8 @@ class TestMonoTranscriptUpdates:
         assert t.I == {4}
         assert t.J[4] == {2}
         assert t.P[4] == [0] and t.Pij[(4, 2)] == [0]
-        assert t.A1[4] == {0, 2, 4, 6, 8}
-        assert t.A0[4] == set(range(16)) - {0, 2, 4, 6, 8}
+        assert t.A1[4] == 0b0000_0001_0101_0101  # coordinate v at bit v
+        assert t.A0[4] == 0b1111_1110_1010_1010
         assert t.rho[(4, 2)] == {0: 1}
 
     def test_zero_signature_feeds_every_r(self):
@@ -120,6 +165,96 @@ class TestMonoTranscriptUpdates:
             t.extend(point(8, [0]), full_sig(TermPattern("none"), None))
         with pytest.raises(ValueError):
             t.extend(point(16, [0]), UnateSignature(TermPattern("none")))
+
+
+class TestAgreementBitsets:
+    """The incremental agreement bitsets against masks built in the test
+    from index intersections, on random n=16 transcripts of both kinds;
+    the closed-form likelihoods, which read those bitsets, against their
+    brute-force twins on the same transcripts."""
+
+    def test_two_level(self, rng):
+        leaves = 0
+        for seed in range(30):
+            inst = MonoInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            t = MonoTranscript(16)
+            for _ in range(15):
+                x = random_middle(inst, rng)
+                t.extend(x, mono_full_signature(inst, x))
+                assert masks_of(t.A1, t.A0) == hand_masks(t, t.P)
+                assert masks_of(t.Aij1, t.Aij0) == hand_masks(t, t.Pij)
+                if any(consistency_status(t, i, j) == "inconsistent" for (i, j) in t.rho):
+                    continue  # the closed form covers consistent leaves only
+                closed = mono_leaf_likelihood(inst, t)
+                brute = mono_leaf_likelihood_bruteforce(inst, t)
+                assert closed.p_yes == pytest.approx(brute.p_yes, rel=1e-12, abs=0)
+                assert closed.p_no == pytest.approx(brute.p_no, rel=1e-12, abs=0)
+                leaves += bool(t.rho)
+        assert leaves >= 100
+
+    def test_single_level(self, rng):
+        leaves = 0
+        for seed in range(30):
+            inst = OneLevelInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            t = SingleLevelTranscript(16)
+            for _ in range(15):
+                x = random_middle(inst, rng)
+                t.extend(x, unate_signature(inst, x))
+                assert masks_of(t.A1, t.A0) == hand_masks(t, t.P)
+                if any(consistency_status(t, i) == "inconsistent" for i in t.rho):
+                    continue
+                closed = onelevel_outcome_likelihood(inst, t)
+                brute = onelevel_outcome_likelihood_bruteforce(inst, t)
+                assert closed.p_yes == pytest.approx(brute.p_yes, rel=1e-12, abs=0)
+                assert closed.p_no == pytest.approx(brute.p_no, rel=1e-12, abs=0)
+                leaves += bool(t.rho)
+        assert leaves >= 30
+
+    def test_unateness(self):
+        for seed in range(20):
+            inst = UnateInstance.sample(16, "no" if seed % 2 else "yes", seed=seed)
+            oracle = UnateSignatureOracle(inst)
+            g = RngStream(seed, "bitset-twin")
+            while len(oracle.transcript) < 10:
+                try:
+                    oracle.query(BitString.random(16, g))
+                except OutOfBandError:
+                    continue
+                t = oracle.transcript
+                assert masks_of(t.A1, t.A0) == hand_masks(t, t.P)
+            mbar = sum(1 << k for k in range(16) if k not in inst.M)
+            assert t.Mbar == mbar
+            for i, (a1, a0) in hand_masks(t, t.P).items():
+                assert t.common_coords(i) & t.Mbar == (a1 | a0) & mbar
+            closed = unate_transcript_likelihood(inst, t, mode="exhaustive")
+            brute = unate_likelihood_bruteforce(inst, t)
+            assert closed.p_yes == pytest.approx(brute.p_yes, rel=1e-12, abs=0)
+            assert closed.p_no == pytest.approx(brute.p_no, rel=1e-12, abs=0)
+
+    def test_induced_tuples_never_run_the_incremental_update(self, rng, monkeypatch):
+        # the twins are independent only if they build their agreement
+        # sets without ``_track``, the update they are checked against
+        inst = MonoInstance.sample(16, "no", seed=3)
+        pairs = []
+        for _ in range(15):
+            x = random_middle(inst, rng)
+            pairs.append((x, mono_full_signature(inst, x)))
+        single = OneLevelInstance.sample(16, "no", seed=3)
+        single_pairs = []
+        for _ in range(15):
+            x = random_middle(single, rng)
+            single_pairs.append((x, unate_signature(single, x)))
+
+        def broken(*args):
+            raise AssertionError("an induced tuple ran _track")
+
+        monkeypatch.setattr(transcripts._Transcript, "_track", broken)
+        ref = induced_mono_tuple(pairs)
+        assert masks_of(ref.A1, ref.A0) == hand_masks(ref, ref.P)
+        assert masks_of(ref.Aij1, ref.Aij0) == hand_masks(ref, ref.Pij)
+        assert ref.Pij  # the cell level is exercised
+        ref = induced_single_level_tuple(single_pairs)
+        assert ref.P and masks_of(ref.A1, ref.A0) == hand_masks(ref, ref.P)
 
 
 class TestConsistency:
@@ -286,12 +421,56 @@ class TestUnateTranscript:
         oracle.query(point(100, m_part + list(range(50, 75))))
         t = oracle.transcript
         assert t.I_S == {0}
-        assert len(t.common_coords(0) & t.Mbar) == 50
+        assert (t.common_coords(0) & t.Mbar).bit_count() == 50
         # second query agrees on only 5 complement coordinates but keeps
         # the dictator value consistent (coordinate 70 stays 1)
         sig, revealed = oracle.query(point(100, m_part + list(range(70, 100))))
         assert consistency_status(t, 0) == "one_consistent"
         assert 0 in t.I_B and revealed == {0: 70}
+
+    @pytest.mark.parametrize("agree, breached", [(10, True), (11, False)])
+    def test_breach_at_the_overlap_floor(self, agree, breached):
+        # n=100, floor n/10 = 10: a term whose agreement set outside M
+        # shrinks to exactly 10 coordinates is breached, at 11 it is not
+        inst = UnateInstance.from_parts(
+            100, "no", m_members=range(50), terms=[[0]], dictators=[(70, False)],
+        )
+        oracle = UnateSignatureOracle(inst)
+        m_part = list(range(25))
+        oracle.query(point(100, m_part + list(range(50, 75))))
+        # the first query's ones 75 - agree .. 74 stay 1 (coordinate 70
+        # among them); every other coordinate outside M flips
+        ones = list(range(75 - agree, 75)) + list(range(75, 100))
+        _, revealed = oracle.query(point(100, m_part + ones))
+        t = oracle.transcript
+        assert (t.common_coords(0) & t.Mbar).bit_count() == agree
+        assert consistency_status(t, 0) == "one_consistent"
+        assert t.is_breached(0) is breached
+        assert revealed == ({0: 70} if breached else {})
+
+    def test_snapshot_is_an_independent_copy(self):
+        inst = UnateInstance.from_parts(
+            16, "no", m_members=range(8), terms=[[0], [1, 2], [6, 7]],
+            dictators=[(8, False), (9, False), (10, False)],
+        )
+        oracle = UnateSignatureOracle(inst)
+        oracle.query(point(16, [0, 1, 2, 8, 9]))
+        oracle.query(point(16, [0, 8]))
+        oracle.query(point(16, [0]))  # breaches term 0
+        t = oracle.transcript
+        t.bad_edge = EdgeClass("E2")
+        t.edge_classes = [None, None, EdgeClass("E2")]
+        names = ("n", "M", "Mbar", "queries", "I", "P", "R", "A1", "A0", "rho",
+                 "I_B", "delta", "breach_events", "bad_edge", "edge_classes")
+        before = fields_of(t, names)
+        c = t.snapshot()
+        assert fields_of(c, names) == before
+        assert t.I_B == {0} and t.A1[1] == 0b11_0000_0111
+        x = point(16, [1, 2, 3, 9, 10])
+        c.extend(x, unate_signature(inst, x), reveal=oracle._special_var)
+        c.bad_edge = None
+        c.edge_classes.append(None)
+        assert fields_of(t, names) == before
 
     def test_breached_monotone_and_scratch_equal(self, rng):
         for seed in range(20):
@@ -400,6 +579,26 @@ class TestUnateClassifier:
         x = point(16, [1])  # breaches term 1, delta collision at 8
         edge = oracle.classify_next(x, cfg)
         assert edge == EdgeClass("E3", 0, 1)
+
+    def test_classify_leaves_the_transcript_untouched(self):
+        # the classifier extends a snapshot; its probe breaches term 0
+        inst = UnateInstance.from_parts(
+            100, "no", m_members=range(50), terms=[[0], [40, 41, 42]],
+            dictators=[(70, False), (51, False)],
+        )
+        oracle = UnateSignatureOracle(inst)
+        m_part = list(range(25))
+        oracle.query(point(100, m_part + list(range(50, 75))))
+        t = oracle.transcript
+        x = point(100, m_part + list(range(70, 100)))
+        probe = t.snapshot()
+        assert probe.extend(x, unate_signature(inst, x), reveal=oracle._special_var) == {0: 70}
+        fields = ("queries", "A1", "A0", "P", "R", "rho", "I_B", "delta", "breach_events")
+        before = fields_of(t, fields)
+        for cfg in (ClassifierConfig(100), ClassifierConfig(100, breach_cap=5)):
+            oracle.classify_next(x, cfg)
+            assert fields_of(t, fields) == before
+        assert t.I_B == set() and oracle.queries_used == 1
 
     def test_priority_e1_over_e2(self):
         cfg = ClassifierConfig(16, unate_drop=4)

@@ -269,6 +269,24 @@ def test_term_tables_are_byte_wide_while_they_fit():
     assert len(sample_instance("unate", 100, "no", 3)._term_tables.chunks) == 25
 
 
+@pytest.mark.parametrize("family", ["mono", "flipdnf", "unate"])
+def test_term_and_clause_views_hold_python_ints(family):
+    # the views are read back as Python ints (masks, JSON, set algebra);
+    # each must equal its row, element by element
+    inst = sample_instance(family, 16, "no", 5)
+    for i in range(inst.N):
+        if family == "unate":
+            row = [v for v in range(16) if inst._masks[i, v]]
+        else:
+            row = list(inst._terms[i])
+        views = [(inst.term(i), row)]
+        if family == "mono":
+            views += [(inst.clause(i, j), list(inst.clause_block(i)[j])) for j in range(inst.N)]
+        for view, want in views:
+            assert all(type(v) is int for v in view.vars)
+            assert view.vars == tuple(want)
+
+
 def _route_value(inst: MonoInstance, x: BitString) -> int:
     """The value read from the band class and the ``Route`` of ``x``."""
     band = inst.weight_class(x)
