@@ -2,11 +2,12 @@
 """Run the benchmark in alternating parent/change pairs and write ``BENCH_<label>.json``.
 
     python3 scripts/bench_pairs.py --label mc_clauses --what "..." --seeds 11-20 \\
-        [--parent HEAD] [--workload mc-n16 ...]
+        [--parent HEAD] [--change COMMIT] [--workload mc-n16 ...]
 
 The parent side runs from the committed files of ``--parent``, exported
 with ``git archive`` into a temporary directory that is removed at the end;
-the change side runs from this checkout's working tree.  Each pair runs
+the change side runs from those of ``--change`` in the same way, or from
+this checkout's working tree when it is not given.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
 each side, one run at a time, with ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``.  Odd seeds run the parent first, even seeds the change
@@ -141,15 +142,26 @@ def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(done.stdout)
 
 
-def export(rev: str, into: Path) -> str:
+def export(rev: str, into: Path, repo: Path = ROOT) -> str:
     """Write the committed files of ``rev`` into ``into``; returns the full commit id."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=repo,
                             capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
+    archive = subprocess.run(["git", "archive", commit], cwd=repo, capture_output=True,
                              check=True).stdout
     into.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def sides(parent: str, change: str | None, tmp: Path, repo: Path = ROOT) -> tuple[dict, dict]:
+    """The directory each side runs from, and the commit of each side
+    (``None`` for the working tree of ``repo``)."""
+    roots, commits = {"parent": tmp / "parent", "change": repo}, {"change": None}
+    commits["parent"] = export(parent, roots["parent"], repo)
+    if change is not None:
+        roots["change"] = tmp / "change"
+        commits["change"] = export(change, roots["change"], repo)
+    return roots, commits
 
 
 def main(argv=None) -> int:
@@ -158,6 +170,7 @@ def main(argv=None) -> int:
     ap.add_argument("--what", required=True, help="one line on what the change does")
     ap.add_argument("--seeds", type=seed_range, required=True, help="a range such as 11-20")
     ap.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
+    ap.add_argument("--change", help="the change commit (default: this checkout's working tree)")
     ap.add_argument("--workload", action="append",
                     help="a workload of BENCHMARK.json (default every one); repeatable")
     args = ap.parse_args(argv)
@@ -171,9 +184,7 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent_root = tmp / "parent"
-        commit = export(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots, commits = sides(args.parent, args.change, tmp)
         runs = []
         for workload in workloads:
             for seed in args.seeds:
@@ -191,7 +202,8 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "what": args.what,
-        "parent_commit": commit,
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
         "machine": machine(),
         "command": f"python3 {' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} "
                    "--trace 0",

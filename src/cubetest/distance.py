@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -316,23 +315,21 @@ def _witness_members(
     :meth:`MonoInstance._route_block`): in term order and ascending point
     within a term, the integer bits of each member and its anti-dictator
     ``k``, the edge being ``(bits, bits | 1 << k)``.  The cell checks of
-    ``witness_edge_at`` run as masks over the points that falsify exactly
-    one clause; the few that pass them all go through the last check, that
-    no other term holds after the flip, on ints."""
-    picked: list[int] = []  # the position of each point that passes the cell checks
-    cells: list[tuple[int, int]] = []  # and its term and anti-dictator
-    for i, at, x, clauses, fals in inst._route_block(among, block)[1]:
-        p = np.flatnonzero(fals.sum(axis=1) == 1)
-        j = fals[p].argmax(axis=1)
-        k = inst.dict_row(i)[j]
-        # x_k reads 0, k avoids clause j, and x^(k) stays in the band: x is
-        # in it, so only the top weight can be left
-        keep = ((x[p, k] == 0) & (clauses[j] != k[:, None]).all(axis=1)
-                & (x[p].sum(axis=1) + 1 <= inst.band_high))
-        picked += at[p[keep]].tolist()
-        cells += zip(repeat(i), k[keep].tolist())
-    ints = picked if block is None else _point_ints(block[picked])
-    return [(b, k) for b, (i, k) in zip(ints, cells)
+    ``witness_edge_at`` run once, as masks over all the points that falsify
+    exactly one clause; the few that pass them all go through the last
+    check, that no other term holds after the flip, on ints."""
+    _, (term, at, count, first) = inst._route_block(among, block)
+    cell = np.flatnonzero(count == 1)
+    term, at, j = term[cell], at[cell], first[cell]
+    k, clause = inst._cells(term, j)
+    words = at.view(np.uint64)[:, None] if block is None else block[at]
+    # x_k reads 0, k avoids clause j, and x^(k) stays in the band: x is in
+    # it, so only the top weight can be left
+    x_k = words[np.arange(len(k)), k >> 6] >> (k & 63).astype(np.uint64) & np.uint64(1)
+    keep = np.flatnonzero((x_k == 0) & (clause != k[:, None]).all(axis=1)
+                          & (np.bitwise_count(words).sum(axis=1) + 1 <= inst.band_high))
+    ints = at[keep].tolist() if block is None else _point_ints(words[keep])
+    return [(b, k) for b, i, k in zip(ints, term[keep].tolist(), k[keep].tolist())
             if _hits(b | 1 << k, inst._term_tables) == [i]]
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import and_, getitem, methodcaller, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -174,7 +175,8 @@ def _cube_columns(n: int, flip: int = 0) -> list[int]:
 def _columns(rows: np.ndarray) -> list[int]:
     """Per column of a 0/1 ``(rows, n)`` matrix, the Python-int bitset of
     the rows where it is set (row ``r`` at bit ``r``)."""
-    packed = np.packbits(rows.T, axis=1, bitorder="little")  # one line per column
+    # packbits reads a contiguous transpose 3-4 times faster than a strided one
+    packed = np.packbits(np.ascontiguousarray(rows.T), axis=1, bitorder="little")
     raw, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[v * w : (v + 1) * w], "little") for v in range(rows.shape[1])]
 
@@ -194,7 +196,7 @@ def _unpack(bits: int, size: int) -> np.ndarray:
 def _band_bits(weights: np.ndarray, lo: float, hi: float) -> list[int]:
     """The bitsets of the points of a block whose ``weights`` lie above the
     band ``[lo, hi]`` and inside it."""
-    return _columns(np.stack((weights > hi, (weights >= lo) & (weights <= hi)), axis=1))
+    return _columns(np.stack((weights > hi, (weights >= lo) & (weights <= hi))).T)
 
 
 def _sole(cols: list[int], members: list[list[int]], among: int) -> tuple[int, Iterator[int]]:
@@ -212,13 +214,18 @@ def _sole(cols: list[int], members: list[list[int]], among: int) -> tuple[int, I
     return two, (reduce(and_, map(cols.__getitem__, row), once) for row in members)
 
 
-def _falsified(clauses: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clause level over a block: entry ``[p, j]`` is 1 when the point of
-    row ``p`` of the 0/1 matrix ``x`` falsifies clause ``j``, a row of
-    variable indices.  The points' 0-coordinates, packed 8 points to a
-    byte, are ANDed over the variables of each clause."""
-    zeros = np.packbits(x ^ 1, axis=0)  # zeros[b, v]: points 8b .. 8b + 7 read 0 at v
-    return np.unpackbits(np.bitwise_and.reduce(zeros[:, clauses], axis=2), axis=0, count=len(x))
+def _falsified(clauses: np.ndarray, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clause level over the points of a block, given as ``band_points``
+    words: per point, the number of the clauses (rows of variable indices)
+    it falsifies, and the first one (0 when none).  The points'
+    0-coordinates, packed 8 points to a byte, are ANDed over the variables
+    of each clause; the ``(points, clauses)`` matrix this gives does not
+    outlive the call."""
+    # the complemented words unpack to the 0-coordinates; zeros[b, v] packs
+    # points 8b .. 8b + 7 at coordinate v
+    zeros = np.packbits(_block_rows(~points, n), axis=0)
+    fals = np.unpackbits(np.bitwise_and.reduce(zeros[:, clauses], axis=2), axis=0, count=len(points))
+    return fals.sum(axis=1), fals.argmax(axis=1)
 
 
 # Per-query scans see a point as its ``BitString.bits`` integer and the rows
@@ -579,35 +586,63 @@ class MonoInstance:
         when ``block`` is ``None``.
 
         Returns the bitset of the points that satisfy two or more terms,
-        and an iterator that gives, for each term ``i`` in turn that some
-        points satisfy alone: ``i``, their positions in the block, their 0/1
-        rows, the clause block of ``i`` and their :func:`_falsified` matrix.
+        and four flat arrays over the points that satisfy exactly one, in
+        term order and ascending position within a term: that term, the
+        point's position in the block, and the number of the term's clauses
+        it falsifies and the first of them.  :func:`_falsified` is the one
+        step that runs per term, on that term's points alone.
         """
-        n = self.n
+        n, N = self.n, self.N
         cols = _cube_columns(n) if block is None else _columns(_block_rows(block, n))
         two, sole = _sole(cols, self._terms.tolist(), among)
+        del cols  # the term level below holds the last reference; it dies with that pass
+        once, terms, sizes = 0, [], []
+        label = [0] * (N - 1).bit_length()  # bit b: the points whose term has bit b set
+        for i, mine in enumerate(sole):
+            if mine:
+                once |= mine
+                terms.append(i)
+                sizes.append(mine.bit_count())
+                for b, _ in enumerate(label):
+                    if i >> b & 1:
+                        label[b] |= mine
+        size = once.bit_length()
+        at = np.flatnonzero(_unpack(once, size))
+        term = np.zeros(len(at), np.min_scalar_type(N - 1))
+        for b, bits in enumerate(label):
+            term |= _unpack(bits, size)[at].astype(term.dtype) << b
+        # a stable sort keeps the points of a term ascending; the index arrays
+        # are freed as soon as they are read (at n=20 each is 2.5 MiB)
+        order = np.argsort(term, kind="stable")
+        term, at = term[order], at[order]
+        del order
+        words = at.view(np.uint64)[:, None] if block is None else block[at]
+        count, first = np.empty(len(at), np.min_scalar_type(N)), np.empty_like(term)
+        for i, s, e in zip(terms, accumulate(sizes, initial=0), accumulate(sizes)):
+            count[s:e], first[s:e] = _falsified(self.clause_block(i), words[s:e], n)
+        return two, (term, at, count, first)
 
-        def cells():
-            for i, mine in enumerate(sole):
-                if mine:
-                    at = np.flatnonzero(_unpack(mine, mine.bit_length()))
-                    x = _block_rows(at.view(np.uint64)[:, None] if block is None else block[at], n)
-                    clauses = self.clause_block(i)
-                    yield i, at, x, clauses, _falsified(clauses, x)
-
-        return two, cells()
+    def _cells(self, term: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The anti-dictator variable and the clause row of each cell
+        ``(term[p], j[p])``, ``term`` ascending.  Only the rows asked for
+        are copied, one gather per distinct term: at n=100 a stack of the
+        whole rows of the terms present would be 40 KB a term on top of the
+        row store."""
+        k, clauses = np.empty(len(j), np.int32), np.empty((len(j), self.m), np.int32)
+        starts = np.flatnonzero(np.diff(term, prepend=-1)).tolist()
+        for i, s, e in zip(term[starts].tolist(), starts, starts[1:] + [len(j)]):
+            k[s:e], clauses[s:e] = self.dict_row(i)[j[s:e]], self.clause_block(i)[j[s:e]]
+        return k, clauses
 
     def truth_table(self) -> np.ndarray:
         """Vectorized full table; entry ``t`` is the value at bits ``t``."""
         high, mid = _band_bits(_cube_weights(self.n), self.band_low, self.band_high)
-        two, cells = self._route_block(mid)
+        two, (term, at, count, first) = self._route_block(mid)
         table = _unpack(high | two, 1 << self.n)
-        for i, at, x, _, fals in cells:
-            count = fals.sum(axis=1)
-            table[at[count == 0]] = 1
-            cell = np.flatnonzero(count == 1)
-            k = self.dict_row(i)[fals[cell].argmax(axis=1)]
-            table[at[cell]] = x[cell, k] ^ self.negated
+        table[at[count == 0]] = 1
+        cell = count == 1
+        k, _ = self._cells(term[cell], first[cell])
+        table[at[cell]] = at[cell] >> k & 1 ^ self.negated
         return table
 
     # -- serialization --------------------------------------------------------

@@ -304,14 +304,15 @@ def unate_transcript_likelihood(
 def unate_likelihood_bruteforce(inst: UnateInstance, t: UnateTranscript) -> UnateLikelihood:
     """Full enumeration over the hidden pair (H, s).
 
-    Iterates the orientation over all of ``Mbar`` and, per term, every
+    Iterates the orientation over all of ``Mbar``, read from the instance
+    and not from the transcript's own bookkeeping, and, per term, every
     dictator candidate (variable and polarity), validating each directly
     against the recorded values and breach revelations.
     """
     if not _single_level_patterns_match(inst, t):
         return UnateLikelihood(0.0, 0.0)
     n = inst.n
-    mbar = _set_bits(t.Mbar)
+    mbar = inst.Mbar_sorted.tolist()
     if len(mbar) > EXHAUSTIVE_CAP:
         raise ResourceLimitError(
             f"|Mbar|={len(mbar)} exceeds the brute-force cap {EXHAUSTIVE_CAP}"

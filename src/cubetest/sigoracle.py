@@ -18,7 +18,7 @@ returns ``None`` for them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .core import BitString
 from .families import MonoInstance, UnateInstance
@@ -98,6 +98,15 @@ class _Pattern:
         if self.kind == "unique" and k == self.first:
             return self._MARK
         return 1 - self._MARK
+
+    def unmarked(self, keys: Iterable[int]) -> list[int]:
+        """The ``keys`` whose entry is known to be unmarked, in the order
+        given: all but the marked ones, and for a ``multi`` pattern only
+        those below its second index (``entry`` for each, without the
+        calls)."""
+        if self.kind == "multi":
+            return [k for k in keys if k < self.second and k != self.first]
+        return [k for k in keys if k != self.first]
 
     def to_json(self) -> list:
         return [self.kind, self.first, self.second]

@@ -187,9 +187,8 @@ class _Transcript:
         new = self._track(self.P, self.R, self.A1, self.A0, sig.term.members(), _outside_term, x)
         self.I.update(new)
         qidx = len(self.queries) - 1
-        for i in self.I:
-            if sig.term.entry(i) == 0:
-                self.R[i].append(qidx)
+        for i in sig.term.unmarked(self.I):  # their entries are 0
+            self.R[i].append(qidx)
         return new
 
     def dump_jsonl(self) -> str:
@@ -246,9 +245,8 @@ class MonoTranscript(_Transcript):
         cells = [(i, j) for j in sig.clause.zero_members()]
         for _, j in self._track(self.Pij, self.Rij, self.Aij1, self.Aij0, cells, _outside_cell, x):
             self.J[i].add(j)
-        for j in self.J[i]:
-            if sig.clause.entry(j) == 1:
-                self.Rij[(i, j)].append(qidx)
+        for j in sig.clause.unmarked(self.J[i]):  # their entries are 1
+            self.Rij[(i, j)].append(qidx)
         for cell in cells:
             self.rho.setdefault(cell, {})[qidx] = sig.value_for(cell[1])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,34 @@ def test_differing_digests_stop_the_script():
     bench_pairs.check_pair("mc-n16", 5, parent, parent)
     with pytest.raises(SystemExit, match="mc-n16 seed 5: digests differ"):
         bench_pairs.check_pair("mc-n16", 5, parent, change)
+
+
+def test_sides_export_each_commit_or_keep_the_working_tree(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    for text in ("old", "new"):
+        (repo / "f.txt").write_text(text)
+        git("add", "f.txt")
+        git("commit", "-q", "-m", text)
+    (repo / "f.txt").write_text("edited")
+    old, new = git("rev-parse", "HEAD~1"), git("rev-parse", "HEAD")
+
+    roots, commits = bench_pairs.sides("HEAD~1", "HEAD", tmp_path / "a", repo)
+    assert commits == {"parent": old, "change": new}
+    assert [(roots[s] / "f.txt").read_text() for s in ("parent", "change")] == ["old", "new"]
+    # without --change the change side is the working tree, edits included
+    roots, commits = bench_pairs.sides("HEAD", None, tmp_path / "b", repo)
+    assert commits == {"parent": new, "change": None}
+    assert roots["change"] == repo and (repo / "f.txt").read_text() == "edited"
+    assert (roots["parent"] / "f.txt").read_text() == "new"
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.sides("HEAD", "no-such-commit", tmp_path / "c", repo)
 
 
 def test_output_without_a_summary_line_is_refused():

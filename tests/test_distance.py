@@ -729,6 +729,98 @@ def test_estimate_matches_the_per_point_loop_on_hand_built_cells(case):
     _assert_scan_matches_the_per_point_twin(inst)
 
 
+def _route_block_twin(inst: MonoInstance, points: list[int], among: int):
+    """Slow twin of ``MonoInstance._route_block`` from the term and clause
+    views alone: the bitset of the points of ``among`` that satisfy two or
+    more terms and, sorted by term and position, ``(term, position, number
+    of falsified clauses, first falsified clause or 0)`` of each point that
+    satisfies exactly one."""
+    terms = [inst.term(i).mask for i in range(inst.N)]
+    clauses: dict[int, list[int]] = {}
+    two, once = 0, []
+    for p, bits in enumerate(points):
+        sat = [i for i, mask in enumerate(terms) if among >> p & 1 and bits & mask == mask]
+        if len(sat) > 1:
+            two |= 1 << p
+        elif sat:
+            (i,) = sat
+            if i not in clauses:
+                clauses[i] = [inst.clause(i, j).mask for j in range(inst.N)]
+            fals = [j for j, mask in enumerate(clauses[i]) if not bits & mask]
+            once.append((i, p, len(fals), fals[0] if fals else 0))
+    return two, sorted(once)
+
+
+def _members_twin(inst: MonoInstance, points: list[int], among: int) -> list[tuple[int, int]]:
+    """``witness_edge_at`` at each point of ``among``, as ``(bits, k)`` in
+    term order and ascending position."""
+    found = []
+    for p, bits in enumerate(points):
+        x = BitString(inst.n, bits)
+        if among >> p & 1 and (edge := witness_edge_at(inst, x)) is not None:
+            found.append((inst.route(x).i, p, bits, (edge[1].bits ^ bits).bit_length() - 1))
+    return [(bits, k) for _, _, bits, k in sorted(found)]
+
+
+def _assert_flat_pass_matches_the_twins(inst, points, among, block):
+    two, (term, at, count, first) = inst._route_block(among, block)
+    assert (two, list(zip(term.tolist(), at.tolist(), count.tolist(), first.tolist()))) == (
+        _route_block_twin(inst, points, among))
+    members = distance._witness_members(inst, among, block)
+    assert members == _members_twin(inst, points, among)
+    return members
+
+
+# at n=100 most terms that some sampled point satisfies alone hold one or two
+# such points; among drops a random part of the block
+@pytest.mark.parametrize("seed", range(2))
+def test_flat_pass_matches_the_per_point_twins_on_sampled_blocks(seed):
+    inst = MonoInstance.sample(100, "no", seed)
+    rng = RngStream(seed, "flat-twin")
+    block = rng.band_points(100, inst.band_low, inst.band_high, 500)
+    for among in ((1 << 500) - 1, BitString.random(500, rng).bits):
+        _assert_flat_pass_matches_the_twins(inst, distance._point_ints(block), among, block)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_pass_matches_the_per_point_twins_on_the_cube(seed):
+    inst = MonoInstance.sample(14, "no", seed, term_len=4)
+    mid = 0
+    for bits in middle_layer_indices(14, inst.band_low, inst.band_high).tolist():
+        mid |= 1 << bits
+    members = _assert_flat_pass_matches_the_twins(inst, list(range(1 << 14)), mid, None)
+    assert members
+
+
+def test_a_block_where_no_point_satisfies_exactly_one_term():
+    # the two terms are equal, so every point satisfies none or both
+    inst = MonoInstance.from_parts(9, "no", terms=[[0, 1], [1, 0]],
+                                   clauses=[[[4, 5], [6, 7]], [[4, 4], [8, 8]]],
+                                   dictators=[[8, 2], [0, 1]])
+    block = RngStream(5, "no-once").band_points(9, inst.band_low, inst.band_high, 300)
+    for among, points, cut in (((1 << 300) - 1, distance._point_ints(block), block),
+                               ((1 << 512) - 1, list(range(512)), None)):
+        two, flat = inst._route_block(among, cut)
+        assert two and [len(a) for a in flat] == [0, 0, 0, 0]
+        _assert_flat_pass_matches_the_twins(inst, points, among, cut)
+    assert np.array_equal(inst.truth_table(), table_of(inst.value, 9))
+    assert witness_edge_family(inst) == []
+    assert estimate_witness_density(inst, 300, RngStream(5, "no-once")).estimate == 0.0
+
+
+def test_flat_pass_keeps_its_memory_per_term():
+    # tracemalloc peaks when each term's cells went through their own array
+    # pass; a pass that concatenated the terms' falsified matrices peaked at
+    # 30.5, 30.5 and 68.8 MiB.  The n=100 peak is mostly the row store: the
+    # clause blocks and dictator rows of the ~600 terms the sample reaches
+    assert _peak_bytes(MonoInstance.sample(20, "no", 1, term_len=4).truth_table) < 10.6 * 2**20
+    inst = MonoInstance.sample(20, "no", 1, term_len=4)
+    assert _peak_bytes(lambda: witness_edge_family(inst)) < 13.4 * 2**20
+    inst = MonoInstance.sample(100, "no", 1)
+    rng = RngStream(1, "flat-memory")
+    assert _peak_bytes(lambda: estimate_witness_density(inst, 4000, rng)) < 26.9 * 2**20
+
+
 # recorded with the per-point estimator: estimate_witness_density of
 # MonoInstance.sample(16, "no", s) with 4000 samples from RngStream(s, "witness-pin"),
 # as (estimate, calls the stream made)

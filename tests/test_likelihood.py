@@ -183,6 +183,25 @@ class TestUnateLikelihood:
             assert closed.p_yes == pytest.approx(brute.p_yes, rel=1e-12, abs=0)
             assert closed.p_no == pytest.approx(brute.p_no, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bruteforce_reads_the_orientation_coordinates_of_the_instance(self, seed):
+        # the twin must not share the transcript's bookkeeping: with one
+        # coordinate dropped from t.Mbar the closed form moves, and brute
+        # force, reading the instance, does not
+        inst = UnateInstance.sample(16, "no", seed=seed)
+        oracle, g = UnateSignatureOracle(inst), RngStream(seed, "mbar")
+        while len(oracle.transcript) < 8:
+            try:
+                oracle.query(BitString.random(16, g))
+            except OutOfBandError:
+                continue
+        t = oracle.transcript
+        brute = unate_likelihood_bruteforce(inst, t)
+        assert unate_transcript_likelihood(inst, t, mode="exhaustive") == brute
+        t.Mbar &= t.Mbar - 1
+        assert unate_likelihood_bruteforce(inst, t) == brute
+        assert unate_transcript_likelihood(inst, t, mode="exhaustive") != brute
+
     def test_monte_carlo_matches_exhaustive(self):
         inst = UnateInstance.sample(16, "no", seed=5)
         oracle = self.grow(inst, 8, 5)

@@ -44,6 +44,15 @@ class TestPatternEntries:
         q = ClausePattern("unique", 2)
         assert q.entry(2) == 0 and q.entry(9) == 1
 
+    @pytest.mark.parametrize("kind", [TermPattern, ClausePattern])
+    @pytest.mark.parametrize("hits", [[], [0], [3], [9], [0, 1], [2, 5], [4, 9]])
+    def test_unmarked_are_the_known_complement_entries(self, kind, hits):
+        # the transcripts feed R / Rij from these without an entry() call per index
+        p = kind.of(hits)
+        keys = [7, 0, 9, 3, 5, 1, 4, 2, 8, 6]
+        assert p.unmarked(keys) == [k for k in keys if p.entry(k) == 1 - kind._MARK]
+        assert p.unmarked(set(keys)) == [k for k in set(keys) if p.entry(k) == 1 - kind._MARK]
+
     def test_of_builds_from_hits(self):
         assert TermPattern.of([]) == TermPattern("none")
         assert ClausePattern.of([]) == ClausePattern("all_one")

@@ -325,6 +325,16 @@ def test_cube_columns_are_the_columns_of_the_cube(n):
     assert _cube_columns(n) == _columns(rows)
 
 
+# the estimator's block is 4000 x 16; _pack hands over F-ordered rows, whose
+# transpose is contiguous already
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (9, 8), (65, 16), (4000, 16)])
+def test_columns_read_c_and_f_ordered_rows_alike(shape):
+    rows = np.random.default_rng(shape[0]).integers(0, 2, size=shape, dtype=np.uint8)
+    plain = [sum(int(b) << r for r, b in enumerate(rows[:, v])) for v in range(shape[1])]
+    assert _columns(rows) == _columns(np.asfortranarray(rows)) == plain
+    assert _columns(rows.astype(bool)) == plain
+
+
 # blocks of 7, 8 and 9 points end around a byte of the packed columns, and
 # 63, 64 and 65 points around a 64-bit word
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65])
